@@ -6,7 +6,9 @@ path first keeps only anchors whose face score exceeds ``score_threshold``
 and converts offsets for those alone. With ``report_threshold >=
 score_threshold`` the two paths produce identical detections; the
 improved one just performs far fewer offset decodes, which
-:func:`bench_decode` quantifies.
+:func:`bench_decode` quantifies. Both stop greedy NMS at ``max_detections``
+kept boxes, which bounds the cost when every anchor passes the gate
+without changing the output (see :func:`nms_rows`).
 
 This is a CPU artifact: the benchmark isolates the offset-decode
 workload reduction and deliberately does not model device-to-host
@@ -23,7 +25,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .assign import decode_rows, encode_targets  # noqa: F401  (encode used by bench fixture)
+from .assign import decode_rows
 from .geometry import AnchorConfig, AnchorGrid, Box, generate_anchors
 from .network import RawOutput
 
@@ -94,34 +96,37 @@ def face_scores(logits: np.ndarray) -> np.ndarray:
     return e_face / (e_bg + e_face)
 
 
-def _overlap_row(box: np.ndarray, others: np.ndarray) -> np.ndarray:
-    # IoU of one corner row against (M, 4) rows; zero-area rows get 0
-    ix = np.minimum(box[2], others[:, 2]) - np.maximum(box[0], others[:, 0])
-    iy = np.minimum(box[3], others[:, 3]) - np.maximum(box[1], others[:, 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area = (box[2] - box[0]) * (box[3] - box[1])
-    areas = (others[:, 2] - others[:, 0]) * (others[:, 3] - others[:, 1])
-    union = area + areas - inter
-    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
-
-
-def nms_rows(boxes: np.ndarray, scores: np.ndarray, thresh: float) -> np.ndarray:
+def nms_rows(boxes: np.ndarray, scores: np.ndarray, thresh: float, limit: int | None = None) -> np.ndarray:
     """Greedy suppression over corner rows; returns kept indices.
 
     Highest score first, ties toward the lower original index; every box
-    overlapping a kept box strictly above ``thresh`` is dropped.
+    overlapping a kept box strictly above ``thresh`` is dropped. ``limit``
+    stops the loop once that many boxes are kept. Boxes are kept in score
+    order and each depends only on those kept before it, so the result is
+    the first ``limit`` of the unbounded one.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     order = np.lexsort((np.arange(scores.size), -scores))
+    x1, y1, x2, y2 = (boxes[order, k] for k in range(4))
+    areas = (x2 - x1) * (y2 - y1)
+    alive = np.ones(order.size, dtype=bool)
     kept: list[int] = []
-    alive = np.ones(scores.size, dtype=bool)
-    for i in order:
-        if not alive[i]:
+    for p in range(order.size):
+        if not alive[p]:
             continue
-        kept.append(int(i))
-        overlaps = _overlap_row(boxes[i], boxes[alive])
-        drop = np.flatnonzero(alive)[overlaps > thresh]
-        alive[drop] = False
-    return np.asarray(kept, dtype=np.int64)
+        kept.append(p)
+        if len(kept) == limit:
+            break
+        # IoU against the later boxes; zero-area pairs get 0
+        r = slice(p + 1, None)
+        ix = np.minimum(x2[p], x2[r]) - np.maximum(x1[p], x1[r])
+        iy = np.minimum(y2[p], y2[r]) - np.maximum(y1[p], y1[r])
+        inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+        union = areas[p] + areas[r] - inter
+        iou = np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
+        alive[r][iou > thresh] = False
+    return order[kept]
 
 
 def nms(dets: Sequence[Detection], nms_threshold: float) -> list[Detection]:
@@ -136,26 +141,21 @@ def nms(dets: Sequence[Detection], nms_threshold: float) -> list[Detection]:
 def _finalize(
     boxes: np.ndarray,
     scores: np.ndarray,
-    anchor_indices: np.ndarray,
     cfg: DecodeConfig,
     image_w: int,
     image_h: int,
 ) -> list[Detection]:
+    # rows stay in anchor order, so NMS breaks score ties toward the lower anchor
     keep = scores >= cfg.report_threshold
-    boxes, scores, anchor_indices = boxes[keep], scores[keep], anchor_indices[keep]
+    boxes, scores = boxes[keep], scores[keep]
     if cfg.clip_to_image and boxes.size:
         boxes = boxes.copy()
         np.clip(boxes[:, 0::2], 0.0, image_w, out=boxes[:, 0::2])
         np.clip(boxes[:, 1::2], 0.0, image_h, out=boxes[:, 1::2])
         # boxes entirely outside the image collapse to zero extent; drop them
         valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
-        boxes, scores, anchor_indices = boxes[valid], scores[valid], anchor_indices[valid]
-    if scores.size == 0:
-        return []
-    # order by score desc, ties by original anchor index, before suppression
-    order = np.lexsort((anchor_indices, -scores))
-    boxes, scores = boxes[order], scores[order]
-    kept = nms_rows(boxes, scores, cfg.nms_threshold)[: cfg.max_detections]
+        boxes, scores = boxes[valid], scores[valid]
+    kept = nms_rows(boxes, scores, cfg.nms_threshold, limit=cfg.max_detections)
     return [
         Detection(box=Box(*(float(v) for v in boxes[i])), score=float(scores[i]))
         for i in kept
@@ -173,9 +173,7 @@ def decode_baseline(raw: RawOutput, grid: AnchorGrid, cfg: DecodeConfig | None =
     _check_raw(raw, grid)
     scores = face_scores(np.asarray(raw.logits, dtype=np.float64))
     boxes = decode_rows(grid.boxes, np.asarray(raw.offsets, dtype=np.float64))
-    dets = _finalize(
-        boxes, scores, np.arange(len(grid)), cfg, grid.config.image_w, grid.config.image_h
-    )
+    dets = _finalize(boxes, scores, cfg, grid.config.image_w, grid.config.image_h)
     return DecodeResult(detections=dets, decode_ops=len(grid))
 
 
@@ -188,9 +186,7 @@ def decode_improved(raw: RawOutput, grid: AnchorGrid, cfg: DecodeConfig | None =
     boxes = decode_rows(
         grid.boxes[selected], np.asarray(raw.offsets, dtype=np.float64)[selected]
     )
-    dets = _finalize(
-        boxes, scores[selected], selected, cfg, grid.config.image_w, grid.config.image_h
-    )
+    dets = _finalize(boxes, scores[selected], cfg, grid.config.image_w, grid.config.image_h)
     return DecodeResult(detections=dets, decode_ops=int(selected.size))
 
 
@@ -385,6 +381,8 @@ def read_detections(text: str) -> dict[str, list[Detection]]:
             count = int(lines[i + 1])
         except ValueError as e:
             raise ValueError(f"line {i + 2}: bad detection count {lines[i + 1]!r}") from e
+        if count < 0:
+            raise ValueError(f"line {i + 2}: negative detection count {count}")
         dets = []
         for j in range(count):
             idx = i + 2 + j

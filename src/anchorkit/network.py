@@ -271,7 +271,6 @@ def forward_detect(
     net: Network,
     image: np.ndarray,
     want_grad: bool = False,
-    check_finite: bool = False,
 ) -> RawOutput | tuple[RawOutput, Callable]:
     """Full forward pass; optionally also return a backward closure.
 
@@ -284,10 +283,6 @@ def forward_detect(
             f"image must be ({cfg.in_channels}, H, W), got {image.shape}"
         )
 
-    def check(name: str, arr: np.ndarray) -> None:
-        if check_finite and not np.isfinite(arr).all():
-            raise FloatingPointError(f"non-finite values after {name}")
-
     # Backbone
     x = image
     stage_outputs: list[np.ndarray] = []
@@ -299,7 +294,6 @@ def forward_detect(
             name = f"stage{si}.conv{ci}"
             y, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride)
             x, mask = relu(y)
-            check(name, x)
             stage_caches.append((name, cc, mask))
         bb_caches.append(stage_caches)
         stage_outputs.append(x)
@@ -312,7 +306,6 @@ def forward_detect(
         name = f"proj{ti}"
         y, cc = conv2d(stage_outputs[si], params[f"{name}.w"], params[f"{name}.b"])
         z, mask = relu(y)
-        check(name, z)
         proj.append(z)
         proj_caches.append((name, cc, mask))
 
@@ -329,8 +322,6 @@ def forward_detect(
         cls_map, reg_map, back = detection_head(
             feats[ti], params, f"head{ti}", cfg.head_depth, cfg.split_heads
         )
-        check(f"head{ti}", cls_map)
-        check(f"head{ti}", reg_map)
         lg, off = flatten_maps(cls_map, reg_map)
         logit_rows.append(lg)
         offset_rows.append(off)

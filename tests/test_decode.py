@@ -1,11 +1,17 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchorkit
 from anchorkit.decode import (
     DecodeConfig,
     Detection,
@@ -142,6 +148,28 @@ class TestNMS:
             nms_rows(boxes, scores, thresh), nms_oracle(boxes, scores, thresh)
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_limit_keeps_prefix(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        x = rng.uniform(0, 60, size=(n, 2))
+        wh = rng.uniform(1, 25, size=(n, 2))
+        boxes = np.concatenate([x, x + wh], axis=1)
+        scores = np.round(rng.uniform(0, 1, size=n), 1)  # coarse: many ties
+        thresh = float(rng.choice([0.2, 0.3, 0.5]))
+        full = nms_rows(boxes, scores, thresh)
+        oracle = nms_oracle(boxes, scores, thresh)
+        for k in range(1, full.size + 3):
+            bounded = nms_rows(boxes, scores, thresh, limit=k)
+            np.testing.assert_array_equal(bounded, full[:k])
+            np.testing.assert_array_equal(bounded, oracle[:k])
+
+    def test_limit_below_one_rejected(self):
+        boxes = np.array([[0, 0, 10, 10]], dtype=float)
+        with pytest.raises(ValueError, match="limit"):
+            nms_rows(boxes, np.array([0.5]), 0.3, limit=0)
+
 
 class TestDecodePaths:
     def test_zero_net_above_report_empty(self):
@@ -226,6 +254,24 @@ class TestDecodePaths:
         cfg = DecodeConfig(max_detections=3)
         assert len(decode_baseline(raw, grid, cfg).detections) == 3
 
+    def test_every_anchor_gated_stays_bounded(self):
+        # an untrained 640 net scores nearly every anchor above the gate, and
+        # unbounded NMS over spread-out boxes keeps thousands; stopping at
+        # max_detections must report the same detections in far less time
+        grid = generate_anchors(AnchorConfig())
+        assert len(grid) == 34125
+        rng = np.random.default_rng(0)
+        scores = rng.uniform(0.2, 0.99, size=len(grid))
+        raw = raw_from_scores(grid, scores, rng.normal(0.0, 0.5, size=(len(grid), 4)))
+        cfg = DecodeConfig()
+        t0 = time.perf_counter()
+        improved = decode_improved(raw, grid, cfg)
+        elapsed = time.perf_counter() - t0
+        assert improved.decode_ops == len(grid)
+        assert len(improved.detections) == cfg.max_detections
+        assert improved.detections == decode_baseline(raw, grid, cfg).detections
+        assert elapsed < 2.0, f"decode_improved took {elapsed:.2f} s on the dense case"
+
 
 class TestBench:
     def test_hot_fraction_zero(self):
@@ -288,3 +334,18 @@ class TestDetectionIO:
     def test_truncated_rejected(self):
         with pytest.raises(ValueError, match="truncated"):
             read_detections("img.pgm\n2\n1 1 5 5 0.9\n")
+
+    def test_negative_count_rejected(self):
+        # in a child process under a time limit: a parser that steps backwards
+        # on a negative count never returns
+        code = "from anchorkit.decode import read_detections; read_detections('a.pgm\\n-2\\n')"
+        src = str(Path(anchorkit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "ValueError: line 2: negative detection count -2" in proc.stderr
