@@ -131,11 +131,18 @@ def cmd_rf(args: argparse.Namespace) -> int:
     for ti, info in enumerate(infos):
         stride = net_cfg.anchors.strides[ti]
         print(f"tap {ti} (stride {stride}): rf {info.rf_size}, jump {info.jump}")
+    proj_rf = [
+        next(rf for name, _, _, rf, _ in info.trace if name == f"proj{ti}")
+        for ti, info in enumerate(infos)
+    ]
     for ti in range(len(infos) - 1):
         ratio = infos[ti + 1].rf_size / infos[ti].rf_size
         line = f"tap {ti + 1} rf / tap {ti} rf = {ratio:.2f}"
         if net_cfg.fusion:
-            line += f"; fusion lifts tap {ti}'s effective rf to {infos[ti + 1].rf_size}"
+            # The fused map holds the successor's projection; this tap's
+            # head convs then widen it at this tap's own jump.
+            fused = proj_rf[ti + 1] + infos[ti].rf_size - proj_rf[ti]
+            line += f"; fusion lifts tap {ti}'s effective rf to {fused}"
         print(line)
     return 0
 
@@ -282,11 +289,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_weights(params: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """Raise ValueError naming the first tensor that does not fit the configured net."""
+    for name, want in expected.items():
+        if name not in params:
+            raise ValueError(f"weights file has no tensor {name!r}, which the configured net needs")
+        if params[name].shape != want.shape:
+            raise ValueError(
+                f"weights tensor {name!r} has shape {params[name].shape}, "
+                f"the configured net expects {want.shape}"
+            )
+    for name in params:
+        if name not in expected:
+            raise ValueError(f"weights file has tensor {name!r}, which the configured net lacks")
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
     net_cfg = rc.net_config()
     with Path(args.weights).open("rb") as fh:
         params = load_weights(fh)
+    _check_weights(params, build_network(net_cfg).params)
     net = Network(config=net_cfg, params=params, seed=args.seed)
     if args.images:
         images = _load_image_dir(Path(args.images))

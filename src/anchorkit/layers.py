@@ -5,15 +5,39 @@ Tensors are single-image (C, H, W) float arrays; weights are
 (k - 1) // 2, so the output is ceil(in / stride) per spatial axis and
 lines up with the ceil-division anchor layout.
 
+conv2d builds no im2col buffer. It pads the input once and splits it
+into stride**2 phase planes, each a contiguous (C, hq*wq) array, where
+phase (a, b) holds the padded pixels at rows a, a + s, ... and columns
+b, b + s, .... Tap (i, j) of the kernel then reads phase (i % s, j % s)
+from flat offset (i // s) * wq + j // s: a column slice of the plane
+that BLAS takes without a copy. The output is computed on an
+(h_out, wq) grid; its wq - w_out right-hand columns wrap into the next
+row, so forward cuts them and backward feeds them a zero gradient.
+
+Inputs with at least ``_STACK_BELOW_CHANNELS`` (16) channels run one
+GEMM per tap, ``W[:, :, i, j] @ slice``, accumulated. Thinner inputs
+(the 1-channel stem, the 8-channel stride-2 conv) would give BLAS a
+K = C product per tap, too thin to pay for a call; they stack the same
+tap slices into one K = C*kh*kw operand and run a single GEMM. The
+backward is per tap for every conv: ``grad_w[:, :, i, j] = g @ slice.T``
+and ``W[:, :, i, j].T @ g`` is added into the gradient plane at the
+same slice, which is then split back into pixels.
+
+The summation order differs from one im2col GEMM, so results are not
+bit-identical to it: float64 outputs match the loop oracle within 1e-12
+(about 1e-13 at 64 channels), and on the 640x640 net's convs float32
+outputs (up to about 7 in magnitude) differ from im2col by at most
+about 4e-6. Reruns are byte-identical.
+
 Forward functions return a cache consumed by the matching backward
-function. All ops follow the dtype of their inputs (float32 for
-training, float64 for gradient checks).
+function; conv2d's cache holds the weights second. All ops follow the
+dtype of their inputs (float32 for training, float64 for gradient
+checks).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv2d",
@@ -26,17 +50,39 @@ __all__ = [
     "fuse_backward",
 ]
 
+# Below this many input channels a per-tap GEMM has K = C, too thin for
+# BLAS; those convs stack the tap slices into one GEMM instead.
+_STACK_BELOW_CHANNELS = 16
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    # xp: padded (C, Hp, Wp) -> (C*kh*kw, h_out*w_out)
-    c = xp.shape[0]
-    sc, sh, sw = xp.strides
-    view = as_strided(
-        xp,
-        shape=(c, kh, kw, h_out, w_out),
-        strides=(sc, sh, sw, sh * stride, sw * stride),
-    )
-    return view.reshape(c * kh * kw, h_out * w_out)
+
+def _layout(h: int, wd: int, kh: int, kw: int, s: int):
+    """Output size, phase-plane size and the (phase, offset) of each tap."""
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    h_out = (h + 2 * ph - kh) // s + 1
+    w_out = (wd + 2 * pw - kw) // s + 1
+    hq, wq = -(-(h + 2 * ph) // s), -(-(wd + 2 * pw) // s)
+    taps = [((i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    return h_out, w_out, hq, wq, taps
+
+
+def _phase_blocks(h: int, wd: int, kh: int, kw: int, s: int):
+    """Yield (phase, plane rows, plane cols, pixel rows, pixel cols) slices."""
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    for a in range(s):
+        y0 = (a - ph) % s
+        ny = len(range(y0, h, s))
+        r0 = (y0 + ph) // s
+        for b in range(s):
+            x0 = (b - pw) % s
+            nx = len(range(x0, wd, s))
+            c0 = (x0 + pw) // s
+            yield a * s + b, slice(r0, r0 + ny), slice(c0, c0 + nx), slice(y0, None, s), slice(x0, None, s)
+
+
+def _grid(planes: np.ndarray, s: int, hq: int, wq: int) -> np.ndarray:
+    # (s*s, C, hq*wq + tail) -> (s*s, C, hq, wq) view; the tail lets the
+    # last output row's wrapped columns read past the plane.
+    return planes[:, :, : hq * wq].reshape(s * s, planes.shape[1], hq, wq)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
@@ -51,34 +97,53 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
         raise ValueError(f"conv2d: input has {c} channels, weights expect {cw}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernels must be odd, got {kh}x{kw}")
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    h_out = (h + 2 * ph - kh) // stride + 1
-    w_out = (wd + 2 * pw - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    out = (w.reshape(o, -1) @ cols).reshape(o, h_out, w_out)
-    out += b[:, None, None]
-    cache = (x.shape, w, cols, stride)
-    return out, cache
+    s = stride
+    h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
+    planes = np.zeros((s * s, c, hq * wq + (kw - 1) // s), dtype=x.dtype)
+    grid = _grid(planes, s, hq, wq)
+    for p, rows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
+        grid[p, :, rows, cols] = x[:, ys, xs]
+
+    n = h_out * wq
+    if c < _STACK_BELOW_CHANNELS:
+        stacked = np.stack([planes[p, :, off : off + n] for p, off in taps])
+        out = w.transpose(0, 2, 3, 1).reshape(o, -1) @ stacked.reshape(-1, n)
+    else:
+        w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+        (p, off), rest = taps[0], taps[1:]
+        out = w_taps[0] @ planes[p, :, off : off + n]
+        part = np.empty_like(out)
+        for t, (p, off) in enumerate(rest, 1):
+            np.matmul(w_taps[t], planes[p, :, off : off + n], out=part)
+            out += part
+    out += b[:, None]
+    out = out.reshape(o, h_out, wq)[:, :, :w_out]
+    return out, (x.shape, w, planes, stride)
 
 
 def conv2d_backward(grad_out: np.ndarray, cache):
     """Gradients of conv2d w.r.t. input, weights, and bias."""
-    (c, h, wd), w, cols, stride = cache
+    (c, h, wd), w, planes, s = cache
     o, _, kh, kw = w.shape
-    h_out, w_out = grad_out.shape[1], grad_out.shape[2]
-    g = grad_out.reshape(o, -1)
+    h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
+    n = h_out * wq
+    g = np.zeros((o, h_out, wq), dtype=grad_out.dtype)
+    g[:, :, :w_out] = grad_out
+    g = g.reshape(o, n)
 
     grad_b = g.sum(axis=1)
-    grad_w = (g @ cols.T).reshape(w.shape)
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+    grad_taps = np.empty((kh * kw, o, c), dtype=grad_out.dtype)
+    grad_planes = np.zeros(planes.shape, dtype=grad_out.dtype)
+    for t, (p, off) in enumerate(taps):
+        np.matmul(g, planes[p, :, off : off + n].T, out=grad_taps[t])
+        grad_planes[p, :, off : off + n] += w_taps[t].T @ g
+    grad_w = grad_taps.transpose(1, 2, 0).reshape(w.shape)
 
-    grad_cols = (w.reshape(o, -1).T @ g).reshape(c, kh, kw, h_out, w_out)
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    grad_xp = np.zeros((c, h + 2 * ph, wd + 2 * pw), dtype=grad_out.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            grad_xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += grad_cols[:, i, j]
-    grad_x = grad_xp[:, ph : ph + h, pw : pw + wd]
+    grid = _grid(grad_planes, s, hq, wq)
+    grad_x = np.empty((c, h, wd), dtype=grad_out.dtype)
+    for p, rows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
+        grad_x[:, ys, xs] = grid[p, :, rows, cols]
     return grad_x, grad_w, grad_b
 
 

@@ -15,6 +15,7 @@ layer-major, so row i of the output aligns with anchor i of
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable
@@ -392,10 +393,13 @@ def forward_detect(
 
 
 def tap_conv_stacks(cfg: NetConfig) -> list[list[LayerSpec]]:
-    """Conv stacks (for receptive-field analysis) from the input to each tap.
+    """Conv stacks (for receptive-field analysis) from the input to each head output.
 
-    Each stack includes the backbone convs up to and including the tap's
-    stage plus that tap's 1x1 projection.
+    Each stack holds the backbone convs up to and including the tap's
+    stage, that tap's 1x1 projection, then the 3x3 convs of one head
+    branch: ``head_depth`` trunk convs (split heads only) and the
+    terminal conv. Fusion is not in the stack: it adds the successor
+    tap's projection, upsampled, just before this tap's head convs.
     """
     stacks = []
     for ti, si in enumerate(cfg.taps):
@@ -406,6 +410,9 @@ def tap_conv_stacks(cfg: NetConfig) -> list[list[LayerSpec]]:
                 stride = stage.stride if ci == stage.n_convs - 1 else 1
                 stack.append(LayerSpec(kernel=3, stride=stride, name=f"stage{sj}.conv{ci}"))
         stack.append(LayerSpec(kernel=1, stride=1, name=f"proj{ti}"))
+        depth = cfg.head_depth if cfg.split_heads else 0
+        stack += [LayerSpec(kernel=3, stride=1, name=f"head{ti}.cls{d}") for d in range(depth)]
+        stack.append(LayerSpec(kernel=3, stride=1, name=f"head{ti}.cls_out"))
         stacks.append(stack)
     return stacks
 
@@ -428,21 +435,46 @@ def save_weights(params: dict[str, np.ndarray], out: BinaryIO) -> None:
         out.write(data.tobytes())
 
 
+def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
+    # Read in bounded chunks, so a corrupt length costs no more memory
+    # than the file holds.
+    parts, got = [], 0
+    while got < n:
+        chunk = src.read(min(n - got, 1 << 20))
+        if not chunk:
+            break
+        parts.append(chunk)
+        got += len(chunk)
+    if got < n:
+        raise ValueError(f"weights file ends inside {what}: {got} of {n} bytes")
+    return b"".join(parts)
+
+
 def load_weights(src: BinaryIO) -> dict[str, np.ndarray]:
-    """Read back a container written by :func:`save_weights`."""
+    """Read back a container written by :func:`save_weights`.
+
+    A short read or bytes after the last tensor raise ``ValueError``
+    naming the field or tensor.
+    """
     magic = src.read(4)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    version, count = struct.unpack("<II", src.read(8))
+    version, count = struct.unpack("<II", _read_exact(src, 8, "the header"))
     if version != _VERSION:
         raise ValueError(f"unsupported container version {version}")
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", src.read(4))
-        name = src.read(name_len).decode("utf-8")
-        (rank,) = struct.unpack("<I", src.read(4))
-        dims = struct.unpack(f"<{rank}I", src.read(4 * rank))
-        n = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(src.read(4 * n), dtype="<f4").reshape(dims)
-        params[name] = data.astype(np.float32)
+    for ti in range(count):
+        what = f"tensor {ti}"
+        (name_len,) = struct.unpack("<I", _read_exact(src, 4, f"the name length of {what}"))
+        try:
+            name = _read_exact(src, name_len, f"the name of {what}").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"the name of {what} is not UTF-8") from e
+        what = f"tensor {ti} ({name!r})"
+        (rank,) = struct.unpack("<I", _read_exact(src, 4, f"the rank of {what}"))
+        dims = struct.unpack(f"<{rank}I", _read_exact(src, 4 * rank, f"the shape of {what}"))
+        data = _read_exact(src, 4 * math.prod(dims), f"the data of {what}")
+        params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float32)
+    if src.read(1):
+        raise ValueError(f"weights file has bytes after its last tensor ({count} declared)")
     return params

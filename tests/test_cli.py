@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anchorkit.cli import run
+from anchorkit.network import NetConfig, build_network, save_weights
 from anchorkit.runconfig import ConfigError, RunConfig
 
 
@@ -42,6 +43,8 @@ def test_rf_from_net_config(capsys):
     assert run(["rf"]) == 0
     out = capsys.readouterr().out
     assert "tap 0" in out and "fusion lifts" in out
+    assert "tap 0 (stride 4): rf 37, jump 4" in out  # head convs counted
+    assert "fusion lifts tap 0's effective rf to 53" in out
 
 
 def test_grad_check_exit_code(capsys):
@@ -120,6 +123,27 @@ def test_full_pipeline_train_detect_eval_fphist(tmp_path, capsys):
     hist = (tmp_path / "fph" / "fp_hist.csv").read_text().splitlines()
     assert hist[0] == "bin_lo,bin_hi,false_positives"
     assert len(hist) == 4
+
+
+def test_detect_truncated_weights_reports_error(tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    with weights.open("wb") as fh:
+        save_weights(build_network(NetConfig.toy()).params, fh)
+    weights.write_bytes(weights.read_bytes()[:6])
+    code = run(["detect", "--weights", str(weights), "--synth-n", "1", "--out", str(tmp_path / "d.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "header" in err and "Traceback" not in err
+
+
+def test_detect_rejects_weights_of_another_net(tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    with weights.open("wb") as fh:
+        save_weights(build_network(NetConfig.toy(head_channels=32)).params, fh)
+    code = run(["detect", "--weights", str(weights), "--synth-n", "1", "--out", str(tmp_path / "d.txt")])
+    assert code == 1
+    assert "'proj0.w' has shape (32, 32, 1, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "d.txt").exists()
 
 
 def test_bench_decode_small(tmp_path, capsys):

@@ -31,14 +31,52 @@ class TestConv2d:
         for r, c in ((0, 0), (0, 2), (2, 0), (2, 2)):
             assert out[0, r, c] == 4.0
 
-    @pytest.mark.parametrize("h,w,stride", [(5, 5, 1), (5, 5, 2), (6, 4, 2), (7, 3, 2), (4, 4, 1)])
+    @pytest.mark.parametrize(
+        "h,w,stride",
+        [(5, 5, 1), (5, 5, 2), (6, 4, 2), (7, 3, 2), (4, 4, 1), (1, 1, 1), (1, 1, 2), (2, 3, 1), (2, 3, 2)],
+    )
     def test_matches_loop_oracle(self, h, w, stride):
+        # 2 and 3 input channels stack the taps into one GEMM, 17 runs one
+        # GEMM per tap.
         rng = np.random.default_rng(h * 100 + w * 10 + stride)
-        x = rng.normal(size=(2, h, w))
-        wt = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        out, _ = conv2d(x, wt, b, stride=stride)
-        np.testing.assert_allclose(out, conv2d_oracle(x, wt, b, stride), atol=1e-12)
+        for c in (2, 3, 17):
+            for k in (1, 3):
+                x = rng.normal(size=(c, h, w))
+                wt = rng.normal(size=(3, c, k, k))
+                b = rng.normal(size=3)
+                out, _ = conv2d(x, wt, b, stride=stride)
+                np.testing.assert_allclose(out, conv2d_oracle(x, wt, b, stride), atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_gradients_per_tap_grouping(self, stride):
+        # check_conv2d draws 1-3 input channels; 17 takes the per-tap GEMMs.
+        rng = np.random.default_rng(30 + stride)
+        x = rng.normal(size=(17, 5, 4))
+        wt = rng.normal(0.0, 0.5, size=(3, 17, 3, 3))
+        b = rng.normal(0.0, 0.5, size=3)
+        out, cache = conv2d(x, wt, b, stride=stride)
+        proj = rng.normal(size=out.shape)
+
+        def scalar() -> float:
+            return float((conv2d(x, wt, b, stride=stride)[0] * proj).sum())
+
+        gx, gw, gb = conv2d_backward(proj, cache)
+        assert rel_err(gx, finite_diff(scalar, x)) < 1e-6
+        assert rel_err(gw, finite_diff(scalar, wt)) < 1e-6
+        assert rel_err(gb, finite_diff(scalar, b)) < 1e-6
+
+    @pytest.mark.parametrize("c,stride", [(8, 2), (64, 1)])
+    def test_float32_reruns_byte_identical(self, c, stride):
+        rng = np.random.default_rng(c)
+        x = rng.normal(size=(c, 21, 19)).astype(np.float32)
+        wt = rng.normal(size=(16, c, 3, 3)).astype(np.float32)
+        b = rng.normal(size=16).astype(np.float32)
+        runs = []
+        for _ in range(2):
+            out, cache = conv2d(x, wt, b, stride=stride)
+            grads = conv2d_backward(np.ones_like(out), cache)
+            runs.append([out.tobytes()] + [g.tobytes() for g in grads])
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("size,stride", [(5, 1), (5, 2), (8, 2), (9, 2)])
     def test_ceil_output_dims(self, size, stride):

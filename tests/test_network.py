@@ -187,6 +187,13 @@ class TestReceptiveFieldClaim:
         rf1 = receptive_field(stacks[1]).rf_size
         assert rf1 >= 1.5 * rf0  # the deeper tap roughly doubles the view
 
+    def test_stacks_count_head_convs(self):
+        # backbone to tap 0 is 13 px; the two trunk convs and the terminal
+        # conv add 8 px each at jump 4
+        assert receptive_field(tap_conv_stacks(NetConfig.toy())[0]).rf_size == 37
+        shared = NetConfig.toy(split_heads=False)
+        assert receptive_field(tap_conv_stacks(shared)[0]).rf_size == 21
+
 
 class TestWeightsContainer:
     def test_round_trip(self):
@@ -198,6 +205,32 @@ class TestWeightsContainer:
         assert again.keys() == net.params.keys()
         for k in net.params:
             np.testing.assert_array_equal(again[k], net.params[k])
+
+    def test_every_truncation_rejected(self):
+        buf = io.BytesIO()
+        save_weights({"a.w": np.ones((2, 3), dtype=np.float32), "a.b": np.zeros(2, dtype=np.float32)}, buf)
+        raw = buf.getvalue()
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                load_weights(io.BytesIO(raw[:cut]))
+
+    def test_short_header_named(self):
+        buf = io.BytesIO()
+        save_weights(toy_net(seed=6).params, buf)
+        with pytest.raises(ValueError, match="header"):
+            load_weights(io.BytesIO(buf.getvalue()[:6]))
+
+    def test_short_tensor_named(self):
+        buf = io.BytesIO()
+        save_weights({"stage0.conv0.w": np.ones((8, 1, 3, 3), dtype=np.float32)}, buf)
+        with pytest.raises(ValueError, match=r"data of tensor 0 \('stage0.conv0.w'\)"):
+            load_weights(io.BytesIO(buf.getvalue()[:-5]))
+
+    def test_trailing_bytes_rejected(self):
+        buf = io.BytesIO()
+        save_weights({"w": np.ones(3, dtype=np.float32)}, buf)
+        with pytest.raises(ValueError, match="after its last tensor"):
+            load_weights(io.BytesIO(buf.getvalue() + b"\x00"))
 
     def test_magic_checked(self):
         with pytest.raises(ValueError, match="magic"):
