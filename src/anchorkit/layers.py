@@ -5,8 +5,8 @@ Tensors are single-image (C, H, W) float arrays; weights are
 (k - 1) // 2, so the output is ceil(in / stride) per spatial axis and
 lines up with the ceil-division anchor layout.
 
-conv2d builds no im2col buffer. It pads the input once and splits it
-into stride**2 phase planes, each a contiguous (C, hq*wq) array, where
+conv2d reads its input through phase planes instead of a 9x im2col
+buffer. It pads the input once and splits it into stride**2 phase planes, each a contiguous (C, hq*wq) array, where
 phase (a, b) holds the padded pixels at rows a, a + s, ... and columns
 b, b + s, .... Tap (i, j) of the kernel then reads phase (i % s, j % s)
 from flat offset (i // s) * wq + j // s: a column slice of the plane
@@ -15,13 +15,17 @@ that BLAS takes without a copy. The output is computed on an
 row, so forward cuts them and backward feeds them a zero gradient.
 
 Inputs with at least ``_STACK_BELOW_CHANNELS`` (16) channels run one
-GEMM per tap, ``W[:, :, i, j] @ slice``, accumulated. Thinner inputs
-(the 1-channel stem, the 8-channel stride-2 conv) would give BLAS a
-K = C product per tap, too thin to pay for a call; they stack the same
-tap slices into one K = C*kh*kw operand and run a single GEMM. The
-backward is per tap for every conv: ``grad_w[:, :, i, j] = g @ slice.T``
-and ``W[:, :, i, j].T @ g`` is added into the gradient plane at the
-same slice, which is then split back into pixels.
+GEMM per tap, ``W[:, :, i, j] @ slice``, accumulated, and copy nothing.
+Thinner inputs (the 1-channel stem, the 8-channel stride-2 conv) do
+copy: they stack the tap slices into one (C*kh*kw, n) operand, an
+im2col of at most 135 rows, and run a single GEMM. Per tap their
+product has K = C, and each tap's (O, n) partial sum costs more memory
+traffic than the copy of the thin input; on the 640x640 net, per-tap
+GEMMs for these two convs made detection about 90 ms per image slower
+(2.57 -> 2.10 images/s, median of ten runs each). The backward is per
+tap for every conv: ``grad_w[:, :, i, j] = g @ slice.T`` and
+``W[:, :, i, j].T @ g`` is added into the gradient plane at the same
+slice, which is then split back into pixels.
 
 The summation order differs from one im2col GEMM, so results are not
 bit-identical to it: float64 outputs match the loop oracle within 1e-12
