@@ -8,7 +8,13 @@ score_threshold`` the two paths produce identical detections; the
 improved one just performs far fewer offset decodes, which
 :func:`bench_decode` quantifies. Both stop greedy NMS at ``max_detections``
 kept boxes, which bounds the cost when every anchor passes the gate
-without changing the output (see :func:`nms_rows`).
+without changing the output. A bounded NMS also compares each kept box
+only with the rows among the first 1,024 of the score order, where
+``max_detections`` is usually reached; if it is not, the kept boxes are
+replayed once against the rest and the loop continues over every row.
+No pair is compared twice, so the work never exceeds the loop without a
+horizon, and each candidate has met every kept box above it before it
+is examined, so the output is the same (see :func:`nms_rows`).
 
 This is a CPU artifact: the benchmark isolates the offset-decode
 workload reduction and deliberately does not model device-to-host
@@ -96,6 +102,10 @@ def face_scores(logits: np.ndarray) -> np.ndarray:
     return e_face / (e_bg + e_face)
 
 
+# Rows a bounded NMS compares each kept box with before it has to look further.
+_NMS_HORIZON = 1024
+
+
 def nms_rows(boxes: np.ndarray, scores: np.ndarray, thresh: float, limit: int | None = None) -> np.ndarray:
     """Greedy suppression over corner rows; returns kept indices.
 
@@ -104,28 +114,53 @@ def nms_rows(boxes: np.ndarray, scores: np.ndarray, thresh: float, limit: int | 
     stops the loop once that many boxes are kept. Boxes are kept in score
     order and each depends only on those kept before it, so the result is
     the first ``limit`` of the unbounded one.
+
+    A bounded run usually keeps ``limit`` boxes long before it reaches the
+    end of the score order, so it compares each kept box only with the
+    later rows among the first ``hi = min(n, _NMS_HORIZON)`` of that order
+    instead of with every later row. If the walk reaches ``hi`` with fewer than
+    ``limit`` kept, each kept box is replayed once over ``[hi, n)``; from
+    then on ``hi = n``, which is the unbounded loop (``limit=None``
+    starts there). The output is unchanged: a candidate is examined only
+    after every kept box above it has been compared with it, whether in
+    that box's round or in the replay, and each comparison is the same
+    IEEE expression. Each kept box meets each later row at most once, so
+    the work never exceeds the loop without a horizon, and every
+    temporary is one row of at most ``n`` elements.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     order = np.lexsort((np.arange(scores.size), -scores))
+    n = order.size
     x1, y1, x2, y2 = (boxes[order, k] for k in range(4))
     areas = (x2 - x1) * (y2 - y1)
-    alive = np.ones(order.size, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+
+    def suppress(p: int, lo: int, hi: int) -> None:
+        # IoU of kept box p against rows [lo, hi); zero-area pairs get 0
+        r = slice(lo, hi)
+        ix = np.minimum(x2[p], x2[r]) - np.maximum(x1[p], x1[r])
+        iy = np.minimum(y2[p], y2[r]) - np.maximum(y1[p], y1[r])
+        # np.maximum dispatches faster than np.clip; the two can differ only
+        # in the sign of a zero, which cannot make iou > thresh true
+        inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+        union = areas[p] + areas[r] - inter
+        iou = np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
+        alive[r][iou > thresh] = False
+
+    hi = n if limit is None else min(n, _NMS_HORIZON)
     kept: list[int] = []
-    for p in range(order.size):
+    for p in range(n):
+        if p == hi:
+            for q in kept:
+                suppress(q, hi, n)
+            hi = n
         if not alive[p]:
             continue
         kept.append(p)
         if len(kept) == limit:
             break
-        # IoU against the later boxes; zero-area pairs get 0
-        r = slice(p + 1, None)
-        ix = np.minimum(x2[p], x2[r]) - np.maximum(x1[p], x1[r])
-        iy = np.minimum(y2[p], y2[r]) - np.maximum(y1[p], y1[r])
-        inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-        union = areas[p] + areas[r] - inter
-        iou = np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
-        alive[r][iou > thresh] = False
+        suppress(p, p + 1, hi)
     return order[kept]
 
 
@@ -157,8 +192,8 @@ def _finalize(
         boxes, scores = boxes[valid], scores[valid]
     kept = nms_rows(boxes, scores, cfg.nms_threshold, limit=cfg.max_detections)
     return [
-        Detection(box=Box(*(float(v) for v in boxes[i])), score=float(scores[i]))
-        for i in kept
+        Detection(box=Box(*row), score=score)
+        for row, score in zip(boxes[kept].tolist(), scores[kept].tolist())
     ]
 
 
@@ -366,15 +401,24 @@ def write_detections(out: TextIO, per_image: Mapping[str, Iterable[Detection]]) 
 
 
 def read_detections(text: str) -> dict[str, list[Detection]]:
-    """Parse the submission text format written by :func:`write_detections`."""
+    """Parse the submission text format written by :func:`write_detections`.
+
+    Every fault raises a ``ValueError`` naming its line: a missing, bad or
+    negative count, a short block, a field that is not a finite number, a
+    box with no area and an image name that appears twice.
+    """
     lines = text.splitlines()
     out: dict[str, list[Detection]] = {}
+    name_line: dict[str, int] = {}
     i = 0
     while i < len(lines):
         name = lines[i].strip()
         if not name:
             i += 1
             continue
+        if name in name_line:
+            raise ValueError(f"line {i + 1}: image {name!r} repeats line {name_line[name]}")
+        name_line[name] = i + 1
         if i + 1 >= len(lines):
             raise ValueError(f"line {i + 1}: missing detection count for {name!r}")
         try:
@@ -391,8 +435,18 @@ def read_detections(text: str) -> dict[str, list[Detection]]:
             parts = lines[idx].split()
             if len(parts) != 5:
                 raise ValueError(f"line {idx + 1}: expected 'x y w h score', got {lines[idx]!r}")
-            x, y, w, h, score = (float(v) for v in parts)
-            dets.append(Detection(box=Box.from_xywh(x, y, w, h), score=score))
+            try:
+                x, y, w, h, score = (float(v) for v in parts)
+            except ValueError as e:
+                raise ValueError(f"line {idx + 1}: {e}") from e
+            # x + w also catches finite sizes whose far corner overflows
+            if not all(math.isfinite(v) for v in (x, y, x + w, y + h, score)):
+                raise ValueError(f"line {idx + 1}: non-finite box or score in {lines[idx]!r}")
+            try:
+                box = Box.from_xywh(x, y, w, h)
+            except ValueError as e:
+                raise ValueError(f"line {idx + 1}: {e}") from e
+            dets.append(Detection(box=box, score=score))
         out[name] = dets
         i += 2 + count
     return out

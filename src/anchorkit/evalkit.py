@@ -10,6 +10,13 @@ ground truth itself from the recall denominator.
 AP uses all-points interpolation: the area under the precision envelope
 (precision at each recall taken as the max precision at any recall at
 least as large).
+
+Each image with both detections and ground truth costs one
+:func:`pairwise_iou` call: the whole detections x ground-truth matrix is
+built before the ranked walk, which then copies the detection's row,
+masks the ground truths already claimed and takes the ``argmax``.
+``pairwise_iou`` is element-wise, so that row is bit for bit the
+one-detection call it replaces, and every match decision is unchanged.
 """
 
 from __future__ import annotations
@@ -75,21 +82,24 @@ def _ranked(
             for j, d in enumerate(image_dets)
         )
     )
-    gt_rows = {k: boxes_to_array(v) for k, v in gts.boxes.items()}
-    used = {k: np.zeros(len(v), dtype=bool) for k, v in gts.boxes.items()}
+    # one IoU matrix per image that has both detections and ground truth
+    overlaps: dict[str, np.ndarray] = {}
+    used: dict[str, np.ndarray] = {}
+    for key, image_dets in dets.items():
+        gt_boxes = gts.boxes[key]
+        if image_dets and gt_boxes:
+            det_rows = np.asarray([d.box.as_tuple() for d in image_dets], dtype=np.float64)
+            overlaps[key] = pairwise_iou(det_rows, boxes_to_array(gt_boxes))
+            used[key] = np.zeros(len(gt_boxes), dtype=bool)
 
     out: list[tuple[float, str]] = []
     for neg_score, key, j in order:
-        det = dets[key][j]
-        rows = gt_rows[key]
         status = "fp"
-        if rows.shape[0]:
-            overlaps = pairwise_iou(
-                np.asarray([det.box.as_tuple()], dtype=np.float64), rows
-            )[0]
-            overlaps[used[key]] = -1.0
-            g = int(np.argmax(overlaps))
-            if overlaps[g] >= iou_thresh:
+        if key in overlaps:
+            row = overlaps[key][j].copy()
+            row[used[key]] = -1.0
+            g = int(np.argmax(row))
+            if row[g] >= iou_thresh:
                 used[key][g] = True
                 status = "ignored" if gts.ignore[key][g] else "tp"
         out.append((-neg_score, status))

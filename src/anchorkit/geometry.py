@@ -185,39 +185,6 @@ class AnchorConfig:
     def anchor_count(self) -> int:
         return sum(r * c for r, c in self.layer_dims())
 
-    def to_text(self) -> str:
-        """Serialize as plain ``key=value`` lines."""
-        return (
-            f"strides={','.join(str(s) for s in self.strides)}\n"
-            f"sizes={','.join(str(z) for z in self.sizes)}\n"
-            f"image_w={self.image_w}\n"
-            f"image_h={self.image_h}\n"
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "AnchorConfig":
-        fields: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
-        missing = {"strides", "sizes", "image_w", "image_h"} - fields.keys()
-        if missing:
-            raise ValueError(f"missing keys: {sorted(missing)}")
-        strides = [int(v) for v in fields["strides"].split(",")]
-        sizes = [int(v) for v in fields["sizes"].split(",")]
-        if len(strides) != len(sizes):
-            raise ValueError("strides and sizes must have the same length")
-        return cls(
-            layers=tuple(zip(strides, sizes)),
-            image_w=int(fields["image_w"]),
-            image_h=int(fields["image_h"]),
-        )
-
 
 @dataclass(frozen=True)
 class LayerLayout:

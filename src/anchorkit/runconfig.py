@@ -94,7 +94,6 @@ _SCHEMA: dict[str, tuple[Any, Any]] = {
     "aug.enabled": (_parse_bool, True),
     "aug.crop_ratio_min": (float, 1.0),
     "aug.crop_ratio_max": (float, 1.0),
-    "aug.output_size": (int, 64),
     "aug.hflip_prob": (float, 0.5),
     "aug.brightness_jitter": (float, 0.1),
     "net.stages": (_parse_stages, _parse_stages("1x8s1,1x16s2,2x32s2,2x64s2")),
@@ -215,12 +214,19 @@ class RunConfig:
         )
 
     def aug_config(self) -> AugConfig | None:
+        """Augmentation settings, sized to the (square) anchor config's image."""
         if not self.values["aug.enabled"]:
             return None
+        w, h = self.values["anchor.image_w"], self.values["anchor.image_h"]
+        if w != h:
+            raise ConfigError(
+                f"augmentation needs a square anchor config, got "
+                f"anchor.image_w={w}, anchor.image_h={h}"
+            )
         return AugConfig(
             crop_ratio_min=self.values["aug.crop_ratio_min"],
             crop_ratio_max=self.values["aug.crop_ratio_max"],
-            output_size=self.values["aug.output_size"],
+            output_size=w,
             hflip_prob=self.values["aug.hflip_prob"],
             brightness_jitter=self.values["aug.brightness_jitter"],
         )

@@ -125,6 +125,25 @@ def test_full_pipeline_train_detect_eval_fphist(tmp_path, capsys):
     assert len(hist) == 4
 
 
+def test_eval_bad_detection_reports_line(tmp_path, capsys):
+    ds = tmp_path / "val"
+    assert run(["synth", "--out", str(ds), "--n", "1", "--seed", "3"]) == 0
+    dets = tmp_path / "dets.txt"
+    dets.write_text("000000.pgm\n1\n0 0 abc 5 0.9\n")
+    code = run(["eval", "--detections", str(dets), "--annotations", str(ds / "annotations.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line 3:") and "Traceback" not in err
+
+
+def test_train_at_128(tmp_path):
+    # augmentation takes its output size from the anchor config
+    size = ["--set", "anchor.image_w=128", "--set", "anchor.image_h=128", "--set", "synth.image_size=128"]
+    assert run(["train", "--out", str(tmp_path / "run"), "--seed", "1", "--train-n", "2",
+                "--set", "train.epochs=1", *size]) == 0
+    assert (tmp_path / "run" / "weights.bin").exists()
+
+
 def test_detect_truncated_weights_reports_error(tmp_path, capsys):
     weights = tmp_path / "weights.bin"
     with weights.open("wb") as fh:
@@ -178,6 +197,12 @@ class TestRunConfig:
         again.load_file(path)
         assert again.snapshot() == rc.snapshot()
 
+    def test_file_without_key_value_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("anchor.strides=4,8\nstrides 4,8\n")
+        with pytest.raises(ConfigError, match=r"c.cfg:2: expected key=value"):
+            RunConfig().load_file(path)
+
     def test_typed_views_consistent(self):
         rc = RunConfig()
         assert rc.net_config().anchors == rc.anchor_config()
@@ -187,3 +212,14 @@ class TestRunConfig:
         assert rc.aug_config().output_size == 64
         rc.set("aug.enabled", "false")
         assert rc.aug_config() is None
+
+    def test_aug_size_follows_anchor_config(self):
+        rc = RunConfig()
+        rc.set("anchor.image_w", "128")
+        rc.set("anchor.image_h", "128")
+        assert rc.aug_config().output_size == 128
+        rc.set("anchor.image_h", "96")
+        with pytest.raises(ConfigError, match="square"):
+            rc.aug_config()
+        with pytest.raises(ConfigError, match="aug.output_size"):
+            rc.set("aug.output_size", "64")

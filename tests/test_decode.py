@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorkit
+from anchorkit import decode
 from anchorkit.decode import (
     DecodeConfig,
     Detection,
@@ -164,6 +166,46 @@ class TestNMS:
             bounded = nms_rows(boxes, scores, thresh, limit=k)
             np.testing.assert_array_equal(bounded, full[:k])
             np.testing.assert_array_equal(bounded, oracle[:k])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+    def test_short_horizon_vs_oracle(self, seed, horizon):
+        # a horizon of a few rows makes every bounded run replay its kept
+        # boxes past it; the output must not depend on where it lies
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        x = rng.uniform(0, 60, size=(n, 2))
+        wh = rng.uniform(1, 25, size=(n, 2))
+        wh[rng.random(size=(n, 2)) < 0.15] = 0.0  # zero-area boxes
+        boxes = np.concatenate([x, x + wh], axis=1)
+        scores = np.round(rng.uniform(0, 1, size=n), 1)
+        thresh = float(rng.choice([0.2, 0.3, 0.5]))
+        oracle = nms_oracle(boxes, scores, thresh)
+        with mock.patch.object(decode, "_NMS_HORIZON", horizon):
+            full = nms_rows(boxes, scores, thresh)
+            np.testing.assert_array_equal(full, oracle)
+            for k in range(1, full.size + 3):
+                np.testing.assert_array_equal(nms_rows(boxes, scores, thresh, limit=k), full[:k])
+
+    def test_limit_crosses_default_horizon(self):
+        # the top 1,100 boxes are jittered copies of 150 of 400 grid cells, so
+        # the 200th kept box ranks past the horizon, and the later copies of
+        # those 150 cells are suppressed only by the replay of their kept box
+        rng = np.random.default_rng(3)
+        cells = np.stack(np.meshgrid(np.arange(20), np.arange(20)), -1).reshape(-1, 2) * 50.0
+        early = rng.choice(400, size=150, replace=False)
+        which = np.concatenate([rng.choice(early, size=1100), rng.integers(0, 400, size=2100)])
+        scores = np.concatenate([rng.uniform(0.5, 1.0, size=1100), rng.uniform(0.0, 0.5, size=2100)])
+        x = cells[which] + rng.uniform(-2.0, 2.0, size=(which.size, 2))
+        boxes = np.concatenate([x, x + 30.0], axis=1)
+        bounded = nms_rows(boxes, scores, 0.3, limit=200)
+        full = nms_rows(boxes, scores, 0.3)
+        rank = np.empty(scores.size, dtype=np.int64)
+        rank[np.lexsort((np.arange(scores.size), -scores))] = np.arange(scores.size)
+        assert rank[bounded[-1]] > decode._NMS_HORIZON
+        np.testing.assert_array_equal(bounded, full[:200])
+        np.testing.assert_array_equal(bounded, nms_oracle(boxes, scores, 0.3)[:200])
+        assert len(set(which[bounded].tolist())) == 200  # one box per cell
 
     def test_limit_below_one_rejected(self):
         boxes = np.array([[0, 0, 10, 10]], dtype=float)
@@ -334,6 +376,24 @@ class TestDetectionIO:
     def test_truncated_rejected(self):
         with pytest.raises(ValueError, match="truncated"):
             read_detections("img.pgm\n2\n1 1 5 5 0.9\n")
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("0 0 abc 5 0.9", "line 3: could not convert string to float"),
+            ("0 0 0 5 0.9", "line 3: degenerate box"),
+            ("0 0 inf 5 0.9", "line 3: non-finite"),
+            ("0 0 4 5 nan", "line 3: non-finite"),
+            ("1e308 0 1e308 5 0.5", "line 3: non-finite"),
+        ],
+    )
+    def test_bad_detection_names_line(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            read_detections(f"a.pgm\n1\n{line}\n")
+
+    def test_repeated_image_rejected(self):
+        with pytest.raises(ValueError, match="line 5: image 'a.pgm' repeats line 1"):
+            read_detections("a.pgm\n0\nb.pgm\n0\na.pgm\n1\n0 0 4 5 0.9\n")
 
     def test_negative_count_rejected(self):
         # in a child process under a time limit: a parser that steps backwards

@@ -61,12 +61,23 @@ class TestMatchDetections:
 
     def test_random_scenes_vs_oracle(self):
         rng = np.random.default_rng(123)
-        for _ in range(200):
+        seen = {"dets_no_gt": 0, "gt_no_dets": 0}
+        for scene in range(200):
             keys = [f"im{k}" for k in range(int(rng.integers(1, 4)))]
             gts = GroundTruthSet()
             gt_map, ig_map, det_map = {}, {}, {}
             for key in keys:
-                n_gt = int(rng.integers(0, 4))
+                n_gt = int(rng.integers(0, 9))
+                n_det = int(rng.integers(0, 61))
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    n_gt = 0
+                elif kind == 1:
+                    n_det = 0
+                if n_det and not n_gt:
+                    seen["dets_no_gt"] += 1
+                if n_gt and not n_det:
+                    seen["gt_no_dets"] += 1
                 boxes, ig = [], []
                 for _ in range(n_gt):
                     x, y = rng.uniform(0, 40, size=2)
@@ -76,7 +87,6 @@ class TestMatchDetections:
                 gts.add_image(key, boxes, ig)
                 gt_map[key] = [b.as_tuple() for b in boxes]
                 ig_map[key] = ig
-                n_det = int(rng.integers(0, 5))
                 dets = []
                 for _ in range(n_det):
                     if boxes and rng.random() < 0.6:
@@ -97,8 +107,14 @@ class TestMatchDetections:
             oracle_dets = {
                 k: [(d.box.as_tuple(), d.score) for d in v] for k, v in det_map.items()
             }
-            _, expect = match_detections_oracle(oracle_dets, gt_map, ig_map, 0.5)
+            scores, expect = match_detections_oracle(oracle_dets, gt_map, ig_map, 0.5)
             assert flags == expect
+            fp = count_false_positives(det_map, gts, [0.0, 0.5, 1.0], 0.5)
+            assert fp.sum() == expect.count(False)
+            if gts.n_eval():
+                _, curve = evaluate_ap(det_map, gts, 0.5)
+                assert curve.thresholds.tolist() == scores
+        assert min(seen.values()) >= 20, seen
 
 
 class TestPRCurve:

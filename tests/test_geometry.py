@@ -109,15 +109,6 @@ class TestAnchorConfig:
         with pytest.raises(ValueError, match="image size"):
             AnchorConfig(image_w=0, image_h=64)
 
-    def test_text_round_trip(self):
-        cfg = AnchorConfig.toy(96, 64)
-        again = AnchorConfig.from_text(cfg.to_text())
-        assert again == cfg
-
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError, match="key=value"):
-            AnchorConfig.from_text("strides 4,8")
-
 
 class TestGenerateAnchors:
     def test_640_counts(self):
