@@ -47,7 +47,6 @@ from .decode import (
     bench_decode,
     decode_baseline,
     decode_improved,
-    nms,
 )
 from .evalkit import (
     GroundTruthSet,
@@ -119,7 +118,6 @@ __all__ = [
     "match_detections",
     "match_two_step",
     "multitask_loss",
-    "nms",
     "ohem_select",
     "parse_widerface_annotations",
     "pr_curve",

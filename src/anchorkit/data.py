@@ -182,15 +182,20 @@ def load_ppm(data: bytes) -> np.ndarray:
     """Decode binary P5 (grayscale) or P6 (color) into a (1, H, W) float32 image.
 
     Values are scaled to [0, 1]; P6 is reduced to luma
-    0.299 R + 0.587 G + 0.114 B. Only maxval 255 is supported.
+    0.299 R + 0.587 G + 0.114 B. Only maxval 255 is supported. A width,
+    height or maxval that is not a decimal integer raises a ``ValueError``
+    naming the field.
     """
     magic, pos = _read_token(data, 0)
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"unsupported image magic {magic!r} (want binary P5/P6)")
-    w_tok, pos = _read_token(data, pos)
-    h_tok, pos = _read_token(data, pos)
-    max_tok, pos = _read_token(data, pos)
-    w, h, maxval = int(w_tok), int(h_tok), int(max_tok)
+    fields = []
+    for field_name in ("width", "height", "maxval"):
+        tok, pos = _read_token(data, pos)
+        if not tok.isdigit():
+            raise ValueError(f"image header field {field_name}: expected a decimal integer, got {tok!r}")
+        fields.append(int(tok))
+    w, h, maxval = fields
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval} (want 255)")
     if w <= 0 or h <= 0:

@@ -16,6 +16,12 @@ No pair is compared twice, so the work never exceeds the loop without a
 horizon, and each candidate has met every kept box above it before it
 is examined, so the output is the same (see :func:`nms_rows`).
 
+``pipeline.detect_images`` takes the gate one level up: its forward
+(``forward_detect(gate=...)``) regresses only the map rows that hold
+anchors above the decode gate and leaves the other offsets NaN. Such an
+output records its gate; :func:`decode_baseline` refuses it, and
+:func:`decode_improved` refuses it below that gate.
+
 This is a CPU artifact: the benchmark isolates the offset-decode
 workload reduction and deliberately does not model device-to-host
 transfer costs.
@@ -27,20 +33,19 @@ import gc
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
 from .assign import decode_rows
 from .geometry import AnchorConfig, AnchorGrid, Box, generate_anchors
-from .network import RawOutput
+from .network import RawOutput, face_scores
 
 __all__ = [
     "DecodeConfig",
     "Detection",
     "DecodeResult",
     "face_scores",
-    "nms",
     "decode_baseline",
     "decode_improved",
     "synth_raw_output",
@@ -85,21 +90,6 @@ class DecodeResult:
 
     detections: list[Detection]
     decode_ops: int
-
-
-def face_scores(logits: np.ndarray) -> np.ndarray:
-    """Softmax face-class probability per anchor, max-subtraction stabilized.
-
-    Works column by column on the (N, 2) logits: numpy's reductions along
-    a length-2 axis cost far more than the element-wise ops they stand
-    for, and the per-element arithmetic (same max, same subtraction,
-    two-term sum) is unchanged, so the result is bit-identical.
-    """
-    bg, face = logits[:, 0], logits[:, 1]
-    m = np.maximum(bg, face)
-    e_bg = np.exp(bg - m)
-    e_face = np.exp(face - m)
-    return e_face / (e_bg + e_face)
 
 
 # Rows a bounded NMS compares each kept box with before it has to look further.
@@ -164,15 +154,6 @@ def nms_rows(boxes: np.ndarray, scores: np.ndarray, thresh: float, limit: int | 
     return order[kept]
 
 
-def nms(dets: Sequence[Detection], nms_threshold: float) -> list[Detection]:
-    """Greedy NMS over Detection objects (see :func:`nms_rows`)."""
-    if not dets:
-        return []
-    boxes = np.asarray([d.box.as_tuple() for d in dets], dtype=np.float64)
-    scores = np.asarray([d.score for d in dets], dtype=np.float64)
-    return [dets[i] for i in nms_rows(boxes, scores, nms_threshold)]
-
-
 def _finalize(
     boxes: np.ndarray,
     scores: np.ndarray,
@@ -203,9 +184,15 @@ def _check_raw(raw: RawOutput, grid: AnchorGrid) -> None:
 
 
 def decode_baseline(raw: RawOutput, grid: AnchorGrid, cfg: DecodeConfig | None = None) -> DecodeResult:
-    """Decode every anchor's offsets, then filter, clip, and suppress."""
+    """Decode every anchor's offsets, then filter, clip, and suppress.
+
+    Needs a dense forward: a gated one (``raw.gate`` set) has NaN offsets
+    on the rows it did not regress, so it is refused.
+    """
     cfg = cfg or DecodeConfig()
     _check_raw(raw, grid)
+    if raw.gate is not None:
+        raise ValueError(f"decode_baseline needs a dense forward, got one gated at {raw.gate}")
     scores = face_scores(np.asarray(raw.logits, dtype=np.float64))
     boxes = decode_rows(grid.boxes, np.asarray(raw.offsets, dtype=np.float64))
     dets = _finalize(boxes, scores, cfg, grid.config.image_w, grid.config.image_h)
@@ -213,9 +200,18 @@ def decode_baseline(raw: RawOutput, grid: AnchorGrid, cfg: DecodeConfig | None =
 
 
 def decode_improved(raw: RawOutput, grid: AnchorGrid, cfg: DecodeConfig | None = None) -> DecodeResult:
-    """Score-gate first, then decode offsets only for the surviving anchors."""
+    """Score-gate first, then decode offsets only for the surviving anchors.
+
+    A gated forward (``raw.gate`` set) regressed only the rows holding
+    anchors above its gate, so a ``score_threshold`` below that gate is
+    refused: it would select anchors whose offsets are NaN.
+    """
     cfg = cfg or DecodeConfig()
     _check_raw(raw, grid)
+    if raw.gate is not None and raw.gate > cfg.score_threshold:
+        raise ValueError(
+            f"output gated at {raw.gate} cannot be decoded at score_threshold {cfg.score_threshold}"
+        )
     scores = face_scores(np.asarray(raw.logits, dtype=np.float64))
     selected = np.flatnonzero(scores > cfg.score_threshold)
     boxes = decode_rows(

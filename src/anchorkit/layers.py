@@ -33,6 +33,21 @@ bit-identical to it: float64 outputs match the loop oracle within 1e-12
 outputs (up to about 7 in magnitude) differ from im2col by at most
 about 4e-6. Reruns are byte-identical.
 
+A gated detection forward asks conv2d for some output rows only
+(``rows``). Each row interval becomes a range of grid columns, rounded
+outward to multiples of ``_BAND_ALIGN`` (16) columns, and the same per-tap
+GEMMs run on those column slices; only the input rows they read are
+copied into the phase planes. The requested rows must be bit-identical to
+the full output, and OpenBLAS's sgemm (Haswell kernels, 0.3.31) gives a
+column slice of a product the full product's bits only on that grid: on a
+160x160 map with C = 64, bands with unaligned start and length differed
+from the full product in 10 of 24 draws at O = 4 and 5 of 24 at O = 64,
+and aligned bands in none. A grid whose length h_out * wq is not a
+multiple of 16 ends on a partial block, and there a band that ends at the
+grid's end differed in 4 of 12 draws (20x20 map, O = 64); such grids run
+whole. On the 640x640 net that is taps 3-5 (grids of 440, 120 and 35
+columns). A request covering the whole grid takes the unbanded path.
+
 Forward functions return a cache consumed by the matching backward
 function; conv2d's cache holds the weights second. All ops follow the
 dtype of their inputs (float32 for training, float64 for gradient
@@ -57,6 +72,10 @@ __all__ = [
 # Below this many input channels a per-tap GEMM has K = C, too thin for
 # BLAS; those convs stack the tap slices into one GEMM instead.
 _STACK_BELOW_CHANNELS = 16
+
+# Row bands of a banded conv start and end on multiples of this many grid
+# columns, where OpenBLAS's sgemm gives the full product's bits.
+_BAND_ALIGN = 16
 
 
 def _layout(h: int, wd: int, kh: int, kw: int, s: int):
@@ -89,11 +108,54 @@ def _grid(planes: np.ndarray, s: int, hq: int, wq: int) -> np.ndarray:
     return planes[:, :, : hq * wq].reshape(s * s, planes.shape[1], hq, wq)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
+def _column_spans(rows: list[tuple[int, int]], wq: int, n: int) -> list[tuple[int, int]] | None:
+    """Grid column ranges covering the output-row intervals ``rows``.
+
+    Each interval becomes a range of the flattened (h_out, wq) grid,
+    rounded outward to multiples of ``_BAND_ALIGN`` columns; overlapping
+    ranges merge. Returns None, meaning "run the whole grid", when the
+    ranges cover it or when ``n`` is not a multiple of ``_BAND_ALIGN``.
+    """
+    if n % _BAND_ALIGN:
+        return None
+    spans: list[tuple[int, int]] = []
+    for lo, hi in rows:
+        c0 = lo * wq // _BAND_ALIGN * _BAND_ALIGN
+        c1 = min(n, -(-hi * wq // _BAND_ALIGN) * _BAND_ALIGN)
+        if spans and c0 <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], max(c1, spans[-1][1]))
+        else:
+            spans.append((c0, c1))
+    return None if spans == [(0, n)] else spans
+
+
+def _taps_product(planes: np.ndarray, w: np.ndarray, taps, c0: int, c1: int) -> np.ndarray:
+    """(O, c1 - c0) block of the conv GEMMs over grid columns [c0, c1)."""
+    o, c, kh, kw = w.shape
+    if c < _STACK_BELOW_CHANNELS:
+        stacked = np.stack([planes[p, :, off + c0 : off + c1] for p, off in taps])
+        return w.transpose(0, 2, 3, 1).reshape(o, -1) @ stacked.reshape(-1, c1 - c0)
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+    (p, off), rest = taps[0], taps[1:]
+    out = w_taps[0] @ planes[p, :, off + c0 : off + c1]
+    part = np.empty_like(out)
+    for t, (p, off) in enumerate(rest, 1):
+        np.matmul(w_taps[t], planes[p, :, off + c0 : off + c1], out=part)
+        out += part
+    return out
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, rows=None):
     """Same-padded convolution; returns (output, cache).
 
     x: (C, H, W); w: (O, C, kh, kw) with odd kernels; b: (O,).
     Output: (O, ceil(H/stride), ceil(W/stride)).
+
+    ``rows``, a sorted list of disjoint half-open output-row intervals
+    ``(lo, hi)``, asks for those rows only (see the module docstring).
+    Their values are bit-identical to the full output's; the other rows
+    are not defined, and the cache is then not fit for
+    :func:`conv2d_backward`.
     """
     c, h, wd = x.shape
     o, cw, kh, kw = w.shape
@@ -103,24 +165,32 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
         raise ValueError(f"conv2d: kernels must be odd, got {kh}x{kw}")
     s = stride
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
+    n = h_out * wq
+    spans = None if rows is None else _column_spans(rows, wq, n)
+    # plane rows the computed columns read: a band [c0, c1) reaches up to
+    # the furthest tap's offset past c1 - 1
+    reach = (kh - 1) // s * wq + (kw - 1) // s
+    plane_rows = [(0, hq)] if spans is None else [
+        (c0 // wq, min(hq, (c1 - 1 + reach) // wq + 1)) for c0, c1 in spans
+    ]
     planes = np.zeros((s * s, c, hq * wq + (kw - 1) // s), dtype=x.dtype)
     grid = _grid(planes, s, hq, wq)
-    for p, rows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
-        grid[p, :, rows, cols] = x[:, ys, xs]
+    for p, prows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
+        for r0, r1 in plane_rows:
+            lo, hi = max(r0, prows.start), min(r1, prows.stop)
+            if lo < hi:
+                y = ys.start + (lo - prows.start) * s
+                grid[p, :, lo:hi, cols] = x[:, y : y + (hi - lo - 1) * s + 1 : s, xs]
 
-    n = h_out * wq
-    if c < _STACK_BELOW_CHANNELS:
-        stacked = np.stack([planes[p, :, off : off + n] for p, off in taps])
-        out = w.transpose(0, 2, 3, 1).reshape(o, -1) @ stacked.reshape(-1, n)
+    if spans is None:
+        out = _taps_product(planes, w, taps, 0, n)
+        out += b[:, None]
     else:
-        w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-        (p, off), rest = taps[0], taps[1:]
-        out = w_taps[0] @ planes[p, :, off : off + n]
-        part = np.empty_like(out)
-        for t, (p, off) in enumerate(rest, 1):
-            np.matmul(w_taps[t], planes[p, :, off : off + n], out=part)
-            out += part
-    out += b[:, None]
+        out = np.zeros((o, n), dtype=np.result_type(x, w))
+        for c0, c1 in spans:
+            band = _taps_product(planes, w, taps, c0, c1)
+            band += b[:, None]
+            out[:, c0:c1] = band
     out = out.reshape(o, h_out, wq)[:, :, :w_out]
     return out, (x.shape, w, planes, stride)
 

@@ -39,6 +39,7 @@ __all__ = [
     "RawOutput",
     "build_network",
     "detection_head",
+    "face_scores",
     "flatten_maps",
     "forward_detect",
     "parameter_count",
@@ -61,10 +62,16 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class RawOutput:
-    """Per-anchor head outputs: (N, 2) logits as (background, face), (N, 4) offsets."""
+    """Per-anchor head outputs: (N, 2) logits as (background, face), (N, 4) offsets.
+
+    ``gate`` is the score threshold of a gated forward (see
+    :func:`forward_detect`): offsets are then finite only on map rows that
+    hold an anchor scoring above it, and NaN elsewhere.
+    """
 
     logits: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
+    gate: float | None = None
 
     def __post_init__(self) -> None:
         n = self.logits.shape[0]
@@ -210,6 +217,82 @@ def parameter_count(net: Network) -> int:
     return sum(v.size for v in net.params.values())
 
 
+def face_scores(logits: np.ndarray) -> np.ndarray:
+    """Softmax face-class probability per anchor, max-subtraction stabilized.
+
+    Works column by column on the (N, 2) logits: numpy's reductions along
+    a length-2 axis cost far more than the element-wise ops they stand
+    for, and the per-element arithmetic (same max, same subtraction,
+    two-term sum) is unchanged, so the result is bit-identical.
+    """
+    bg, face = logits[:, 0], logits[:, 1]
+    m = np.maximum(bg, face)
+    e_bg = np.exp(bg - m)
+    e_face = np.exp(face - m)
+    return e_face / (e_bg + e_face)
+
+
+def _row_spans(rows: np.ndarray, halo: int, height: int) -> list[tuple[int, int]]:
+    """Merged half-open intervals covering each of ``rows`` widened by ``halo``."""
+    spans: list[tuple[int, int]] = []
+    for y in rows.tolist():
+        lo, hi = max(0, y - halo), min(height, y + halo + 1)
+        if spans and lo <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((lo, hi))
+    return spans
+
+
+def _branch(
+    x: np.ndarray,
+    params: dict[str, np.ndarray],
+    prefix: str,
+    branch: str,
+    head_depth: int,
+    split_heads: bool,
+    rows: np.ndarray | None = None,
+):
+    """One head branch: trunk convs with ReLU (split heads only), then the terminal conv.
+
+    Returns ``(map, caches)``. ``rows`` (sorted map rows) restricts the
+    branch to what those rows of its output read: each conv computes them
+    widened by the (k - 1) // 2 halo of every conv after it. The map's
+    other rows are then not defined.
+    """
+    names = [f"{prefix}.{branch}{d}" for d in range(head_depth if split_heads else 0)]
+    names.append(f"{prefix}.{branch}_out")
+    caches = []
+    for i, name in enumerate(names):
+        spans = None
+        if rows is not None:
+            halo = sum((params[f"{later}.w"].shape[2] - 1) // 2 for later in names[i + 1 :])
+            spans = _row_spans(rows, halo, x.shape[1])
+        y, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], rows=spans)
+        mask = None
+        if i + 1 < len(names):
+            x, mask = relu(y)
+        caches.append((name, cc, mask))
+    return y, caches
+
+
+def _head_backward(cls_caches: list, reg_caches: list) -> Callable:
+    def backward(grad_cls: np.ndarray, grad_reg: np.ndarray):
+        grads: dict[str, np.ndarray] = {}
+        grad_feature = None
+        for g, caches in ((grad_cls, cls_caches), (grad_reg, reg_caches)):
+            for name, cc, mask in reversed(caches):
+                if mask is not None:
+                    g = relu_backward(g, mask)
+                g, gw, gb = conv2d_backward(g, cc)
+                grads[f"{name}.w"] = gw
+                grads[f"{name}.b"] = gb
+            grad_feature = g if grad_feature is None else grad_feature + g
+        return grad_feature, grads
+
+    return backward
+
+
 def detection_head(
     feature: np.ndarray,
     params: dict[str, np.ndarray],
@@ -224,44 +307,29 @@ def detection_head(
     ``(grad_feature, grads)`` with parameter gradients keyed like
     ``params``. ReLU follows every conv except the terminals.
     """
-    caches: dict[str, list] = {}
-    maps: dict[str, np.ndarray] = {}
-    for branch in ("cls", "reg"):
-        x = feature
-        branch_caches = []
-        if split_heads:
-            for d in range(head_depth):
-                name = f"{prefix}.{branch}{d}"
-                y, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"])
-                x, mask = relu(y)
-                branch_caches.append((name, cc, mask))
-        name = f"{prefix}.{branch}_out"
-        y, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"])
-        branch_caches.append((name, cc, None))
-        caches[branch] = branch_caches
-        maps[branch] = y
+    cls_map, cls_caches = _branch(feature, params, prefix, "cls", head_depth, split_heads)
+    reg_map, reg_caches = _branch(feature, params, prefix, "reg", head_depth, split_heads)
+    return cls_map, reg_map, _head_backward(cls_caches, reg_caches)
 
-    def backward(grad_cls: np.ndarray, grad_reg: np.ndarray):
-        grads: dict[str, np.ndarray] = {}
-        grad_feature = None
-        for branch, g in (("cls", grad_cls), ("reg", grad_reg)):
-            for name, cc, mask in reversed(caches[branch]):
-                if mask is not None:
-                    g = relu_backward(g, mask)
-                g, gw, gb = conv2d_backward(g, cc)
-                grads[f"{name}.w"] = gw
-                grads[f"{name}.b"] = gb
-            grad_feature = g if grad_feature is None else grad_feature + g
-        return grad_feature, grads
 
-    return maps["cls"], maps["reg"], backward
+def _map_rows(m: np.ndarray) -> np.ndarray:
+    """Row-major flatten of a (C, H, W) head map to (H*W, C) anchor rows."""
+    return np.moveaxis(m, 0, 2).reshape(-1, m.shape[0])
 
 
 def flatten_maps(cls_map: np.ndarray, reg_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-major flatten of (C, H, W) head maps to (H*W, C) anchor rows."""
-    logits = np.moveaxis(cls_map, 0, 2).reshape(-1, 2)
-    offsets = np.moveaxis(reg_map, 0, 2).reshape(-1, 4)
-    return logits, offsets
+    return _map_rows(cls_map), _map_rows(reg_map)
+
+
+def _gated_rows(logits: np.ndarray, gate: float, h: int, w: int) -> np.ndarray:
+    """Map rows holding an anchor whose face score exceeds ``gate``, in order.
+
+    The score is ``decode_improved``'s float64 expression, so the rows
+    hold every anchor it can select at a threshold of ``gate`` or above.
+    """
+    passed = face_scores(logits.astype(np.float64)) > gate
+    return np.flatnonzero(passed.reshape(h, w).any(axis=1))
 
 
 def _unflatten(grad_rows: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -272,17 +340,29 @@ def forward_detect(
     net: Network,
     image: np.ndarray,
     want_grad: bool = False,
+    gate: float | None = None,
 ) -> RawOutput | tuple[RawOutput, Callable]:
     """Full forward pass; optionally also return a backward closure.
 
     The closure maps (grad_logits, grad_offsets) — laid out like the
     RawOutput rows — to a dict of parameter gradients.
+
+    ``gate`` (inference only) runs threshold-first inside the network:
+    after a tap's classification branch it scores the tap's anchors as
+    ``decode_improved`` does, and the tap's regression branch computes
+    only the map rows that hold an anchor scoring above ``gate``, plus the
+    halo rows its earlier convs need. Those rows' offsets are bit-identical
+    to the dense forward's; every other row's offsets are NaN, and the
+    returned output carries ``gate`` so that decode can refuse to read them.
+    When the gated rows cover a map, its branch runs dense.
     """
     cfg, params = net.config, net.params
     if image.ndim != 3 or image.shape[0] != cfg.in_channels:
         raise ValueError(
             f"image must be ({cfg.in_channels}, H, W), got {image.shape}"
         )
+    if want_grad and gate is not None:
+        raise ValueError("a gated forward has no backward pass")
 
     # Backbone
     x = image
@@ -316,22 +396,30 @@ def forward_detect(
         for ti in range(n_taps - 2, -1, -1):
             feats[ti] = fuse(proj[ti], proj[ti + 1])
 
-    # Detection heads
+    # Detection heads, per tap: classification, the gate, then regression
     head_backs = []
     logit_rows, offset_rows, dims = [], [], []
     for ti in range(n_taps):
-        cls_map, reg_map, back = detection_head(
-            feats[ti], params, f"head{ti}", cfg.head_depth, cfg.split_heads
+        prefix = f"head{ti}"
+        cls_map, cls_caches = _branch(feats[ti], params, prefix, "cls", cfg.head_depth, cfg.split_heads)
+        h, w = cls_map.shape[1:]
+        logit_rows.append(_map_rows(cls_map))
+        rows = None if gate is None else _gated_rows(logit_rows[-1], gate, h, w)
+        reg_map, reg_caches = _branch(
+            feats[ti], params, prefix, "reg", cfg.head_depth, cfg.split_heads, rows=rows
         )
-        lg, off = flatten_maps(cls_map, reg_map)
-        logit_rows.append(lg)
-        offset_rows.append(off)
-        dims.append(cls_map.shape[1:])
-        head_backs.append(back)
+        if rows is not None:
+            regressed = np.zeros(h, dtype=bool)
+            regressed[rows] = True
+            reg_map[:, ~regressed] = np.nan
+        offset_rows.append(_map_rows(reg_map))
+        dims.append((h, w))
+        head_backs.append(_head_backward(cls_caches, reg_caches))
 
     raw = RawOutput(
         logits=np.concatenate(logit_rows, axis=0),
         offsets=np.concatenate(offset_rows, axis=0),
+        gate=gate,
     )
     if not want_grad:
         return raw

@@ -40,12 +40,25 @@ def detect_images(
     images: dict[str, np.ndarray],
     decode_cfg: DecodeConfig | None = None,
 ) -> dict[str, list[Detection]]:
-    """Forward + threshold-first decode over a keyed image collection."""
+    """Gated forward + threshold-first decode over a keyed image collection.
+
+    The forward regresses only the map rows that hold anchors above the
+    decode gate (see :func:`forward_detect`). Every image must have the
+    size the net's anchors were laid out for.
+    """
     decode_cfg = decode_cfg or DecodeConfig()
-    grid = generate_anchors(net.config.anchors)
+    anchors = net.config.anchors
+    for key, image in images.items():
+        h, w = image.shape[-2:]
+        if (h, w) != (anchors.image_h, anchors.image_w):
+            raise ValueError(
+                f"image {key!r} is {w}x{h}, "
+                f"the net's anchors are laid out for {anchors.image_w}x{anchors.image_h}"
+            )
+    grid = generate_anchors(anchors)
     out: dict[str, list[Detection]] = {}
     for key in images:
-        raw = forward_detect(net, images[key])
+        raw = forward_detect(net, images[key], gate=decode_cfg.score_threshold)
         out[key] = decode_improved(raw, grid, decode_cfg).detections
     return out
 

@@ -165,6 +165,21 @@ def test_detect_rejects_weights_of_another_net(tmp_path, capsys):
     assert not (tmp_path / "d.txt").exists()
 
 
+def test_detect_image_of_another_size_reports_error(tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    with weights.open("wb") as fh:
+        save_weights(build_network(NetConfig.toy()).params, fh)
+    images = tmp_path / "images"
+    assert run(["synth", "--out", str(images), "--n", "1", "--seed", "3",
+                "--set", "synth.image_size=128"]) == 0
+    code = run(["detect", "--weights", str(weights), "--images", str(images),
+                "--out", str(tmp_path / "d.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: image '000000.pgm' is 128x128") and "Traceback" not in err
+    assert not (tmp_path / "d.txt").exists()
+
+
 def test_bench_decode_small(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert run(["bench-decode", "--anchors", "2000", "--hot", "0.02",

@@ -94,6 +94,15 @@ class TestPPM:
         with pytest.raises(ValueError, match="maxval"):
             load_ppm(b"P5\n1 1\n65535\n\x00\x00")
 
+    @pytest.mark.parametrize(
+        "header,field",
+        [(b"P5\nabc 1\n255\n", "width"), (b"P5\n1 1.5\n255\n", "height"),
+         (b"P6\n1 1\nff\n", "maxval"), (b"P5\n-1 1\n255\n", "width")],
+    )
+    def test_bad_header_field_named(self, header, field):
+        with pytest.raises(ValueError, match=f"field {field}:"):
+            load_ppm(header + b"\x00" * 3)
+
     def test_truncated_payload(self):
         with pytest.raises(ValueError, match="truncated"):
             load_ppm(b"P5\n2 2\n255\n\x00")

@@ -21,7 +21,6 @@ from anchorkit.decode import (
     decode_baseline,
     decode_improved,
     face_scores,
-    nms,
     nms_rows,
     read_detections,
     synth_raw_output,
@@ -93,13 +92,12 @@ class TestFaceScores:
 
 class TestNMS:
     def test_single_detection(self):
-        d = Detection(Box(0, 0, 10, 10), 0.7)
-        assert nms([d], 0.3) == [d]
+        kept = nms_rows(np.array([[0.0, 0.0, 10.0, 10.0]]), np.array([0.7]), 0.3)
+        np.testing.assert_array_equal(kept, [0])
 
     def test_identical_boxes_keep_higher(self):
-        a = Detection(Box(0, 0, 10, 10), 0.9)
-        b = Detection(Box(0, 0, 10, 10), 0.8)
-        assert nms([b, a], 0.3) == [a]
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
+        np.testing.assert_array_equal(nms_rows(boxes, np.array([0.8, 0.9]), 0.3), [1])
 
     def test_hand_built_vs_oracle(self):
         boxes = np.array(
@@ -289,6 +287,31 @@ class TestDecodePaths:
                 raw, grid, DecodeConfig(score_threshold=gate, report_threshold=0.5)
             )
             assert again.detections == base.detections
+
+    def test_gated_output_refused_by_baseline(self):
+        grid = toy_grid()
+        raw = raw_from_scores(grid, np.full(len(grid), 0.5))
+        gated = RawOutput(logits=raw.logits, offsets=raw.offsets, gate=0.1)
+        with pytest.raises(ValueError, match="dense forward"):
+            decode_baseline(gated, grid)
+
+    def test_gated_output_needs_threshold_at_or_above_gate(self):
+        grid = toy_grid()
+        scores = np.linspace(0.01, 0.99, len(grid))
+        raw = raw_from_scores(grid, scores)
+        # rows a forward gated at 0.3 did not regress
+        offsets = raw.offsets.copy()
+        offsets[face_scores(raw.logits.astype(np.float64)) <= 0.3] = np.nan
+        gated = RawOutput(logits=raw.logits, offsets=offsets, gate=0.3)
+        with pytest.raises(ValueError, match="gated at 0.3"):
+            decode_improved(gated, grid, DecodeConfig(score_threshold=0.1))
+        for thresh in (0.3, 0.5):
+            cfg = DecodeConfig(score_threshold=thresh, report_threshold=thresh)
+            dets = decode_improved(gated, grid, cfg).detections
+            assert dets == decode_baseline(raw, grid, cfg).detections
+            assert dets and all(
+                math.isfinite(v) for d in dets for v in (*d.box.as_tuple(), d.score)
+            )
 
     def test_max_detections_truncates(self):
         grid = toy_grid()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorkit import layers
 from anchorkit.gradcheck import check_conv2d, check_fuse, finite_diff, rel_err
 from anchorkit.layers import (
     conv2d,
@@ -84,6 +87,63 @@ class TestConv2d:
         w = np.zeros((1, 1, 3, 3))
         out, _ = conv2d(x, w, np.zeros(1), stride=stride)
         assert out.shape == (1, -(-size // stride), -(-size // stride))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_row_bands_bit_equal_full(self, data):
+        # A band is exact only where its columns start and end on the
+        # 16-column grid; grids whose length is not a multiple of 16 run
+        # whole. Both groupings (3 stacks its taps, 17 and 64 do not).
+        c = data.draw(st.sampled_from([3, 17, 64]), "channels")
+        o = data.draw(st.sampled_from([2, 4, 64]), "filters")
+        stride = data.draw(st.sampled_from([1, 1, 2]), "stride")
+        h = data.draw(st.integers(1, 40), "height")
+        if data.draw(st.booleans(), "whole 16-column blocks"):
+            # wq = 16 k, so every grid length h_out * wq is a multiple of 16
+            wd = stride * 16 * data.draw(st.integers(1, 2)) - 2
+        else:
+            wd = data.draw(st.integers(1, 40), "width")
+        h_out, _, _, wq, _ = layers._layout(h, wd, 3, 3, stride)
+        cuts = sorted(data.draw(st.sets(st.integers(0, h_out), min_size=1, max_size=6), "cuts"))
+        if data.draw(st.booleans(), "touch top"):
+            cuts = [0] + [v for v in cuts if v > 0]
+        if data.draw(st.booleans(), "touch bottom"):
+            cuts = [v for v in cuts if v < h_out] + [h_out]
+        rows = [(lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi]
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rng.normal(size=(c, h, wd)).astype(np.float32)
+        w = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
+        b = rng.normal(size=o).astype(np.float32)
+        full, _ = conv2d(x, w, b, stride=stride)
+        banded, _ = conv2d(x, w, b, stride=stride, rows=rows)
+        assert banded.shape == full.shape
+        for lo, hi in rows:
+            np.testing.assert_array_equal(banded[:, lo:hi], full[:, lo:hi])
+
+    def test_grid_off_16_columns_runs_whole(self):
+        # A 20x20 map's grid has 440 columns. Banded, its last block is
+        # partial, and a band ending there differed from the full product
+        # in about a third of draws; such a grid must run whole.
+        rng = np.random.default_rng(20)
+        for lo in range(0, 20, 2):
+            x = rng.normal(size=(64, 20, 20)).astype(np.float32)
+            w = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
+            b = rng.normal(size=64).astype(np.float32)
+            full, _ = conv2d(x, w, b)
+            banded, _ = conv2d(x, w, b, rows=[(lo, 20)])
+            np.testing.assert_array_equal(banded[:, lo:], full[:, lo:])
+
+    def test_column_spans(self):
+        # rows 1-2 and 5 of an 8-row grid of 10 columns: columns [10, 30)
+        # and [50, 60), rounded out to [0, 32) and [48, 64)
+        assert layers._column_spans([(1, 3), (5, 6)], 10, 80) == [(0, 32), (48, 64)]
+        # rows 1 and 3 round out to overlapping column ranges, which merge
+        assert layers._column_spans([(1, 2), (3, 4)], 10, 80) == [(0, 48)]
+        assert layers._column_spans([], 10, 80) == []
+        # bands covering the grid, or a grid whose length is no multiple of 16, run whole
+        assert layers._column_spans([(0, 1), (2, 8)], 10, 80) is None
+        assert layers._column_spans([(1, 2)], 11, 88) is None
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from anchorkit.decode import face_scores
+from anchorkit.decode import DecodeConfig, decode_baseline, decode_improved
+from anchorkit.data import SynthConfig, synth_dataset
 from anchorkit.geometry import AnchorConfig, generate_anchors, receptive_field
 from anchorkit.gradcheck import check_detection_head, finite_diff, rel_err
 from anchorkit.network import (
@@ -11,6 +12,7 @@ from anchorkit.network import (
     StageSpec,
     build_network,
     detection_head,
+    face_scores,
     flatten_maps,
     forward_detect,
     load_weights,
@@ -18,10 +20,34 @@ from anchorkit.network import (
     save_weights,
     tap_conv_stacks,
 )
+from anchorkit.pipeline import detect_images
 
 
 def toy_net(seed=0, **kwargs):
     return build_network(NetConfig.toy(**kwargs), seed=seed)
+
+
+GATE = DecodeConfig().score_threshold
+
+
+def make_sparse(net, image, share):
+    """Shift every head's face bias so about ``share`` of ``image``'s anchors pass the gate."""
+    raw = forward_detect(net, image)
+    margin = (raw.logits[:, 1] - raw.logits[:, 0]).astype(np.float64)
+    shift = np.log(GATE / (1 - GATE)) - float(np.quantile(margin, 1 - share))
+    for ti in range(len(net.config.taps)):
+        net.params[f"head{ti}.cls_out.b"] += np.float32([-shift / 2, shift / 2])
+
+
+def assert_gated_matches_dense(gated, dense, gate):
+    """Same logits; every anchor above the gate regressed bit for bit; the rest NaN or exact."""
+    assert gated.gate == gate and dense.gate is None
+    np.testing.assert_array_equal(gated.logits, dense.logits)
+    regressed = np.isfinite(gated.offsets).all(axis=1)
+    assert np.isnan(gated.offsets[~regressed]).all()
+    assert regressed[face_scores(dense.logits.astype(np.float64)) > gate].all()
+    np.testing.assert_array_equal(gated.offsets[regressed], dense.offsets[regressed])
+    return regressed
 
 
 class TestNetConfig:
@@ -140,6 +166,60 @@ class TestForwardDetect:
             fd = finite_diff(scalar, net.params[name])
             worst = max(worst, rel_err(grads[name], fd))
         assert worst < 1e-6
+
+
+class TestGatedForward:
+    def test_all_gated_equals_dense(self):
+        # an untrained toy net scores every anchor above the gate, so every
+        # map runs whole
+        net = toy_net(seed=1)
+        img = np.random.default_rng(0).random((1, 64, 64), dtype=np.float32)
+        dense, gated = forward_detect(net, img), forward_detect(net, img, gate=GATE)
+        assert (face_scores(dense.logits.astype(np.float64)) > GATE).all()
+        np.testing.assert_array_equal(gated.offsets, dense.offsets)
+        assert gated.gate == GATE
+
+    @pytest.mark.parametrize("share", [0.0, 0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("head", [{}, {"head_depth": 1}, {"split_heads": False}])
+    def test_sparse_toy_rows_exact(self, share, head):
+        net = toy_net(seed=3, **head)
+        images, _ = synth_dataset(SynthConfig(), 4, seed=8)
+        make_sparse(net, images[0], share)
+        grid = generate_anchors(net.config.anchors)
+        cfg = DecodeConfig()
+        for img in images:
+            dense, gated = forward_detect(net, img), forward_detect(net, img, gate=GATE)
+            regressed = assert_gated_matches_dense(gated, dense, GATE)
+            if share < 0.2:
+                assert not regressed.all()
+            assert decode_improved(gated, grid, cfg).detections == decode_baseline(dense, grid, cfg).detections
+
+    def test_gate_with_grad_rejected(self):
+        img = np.zeros((1, 64, 64), dtype=np.float32)
+        with pytest.raises(ValueError, match="gated forward"):
+            forward_detect(toy_net(), img, want_grad=True, gate=GATE)
+
+    def test_640_sparse_bit_identical(self):
+        # Pins the 16-column band rule on this BLAS at paper scale: tap 0's
+        # 160x160 map (25,920 grid columns) runs in bands, taps 3-5 (grids of
+        # 440, 120 and 35 columns) run whole.
+        toy = NetConfig.toy()
+        cfg = NetConfig(
+            stages=toy.stages + tuple(StageSpec(2, 64, 2) for _ in range(4)),
+            taps=(2, 3, 4, 5, 6, 7),
+            anchors=AnchorConfig(),
+        )
+        net = build_network(cfg, seed=0)
+        images, _ = synth_dataset(SynthConfig(image_size=640), 3, seed=5)
+        make_sparse(net, images[0], 0.005)
+        grid = generate_anchors(cfg.anchors)
+        decode_cfg = DecodeConfig()
+        for img in images:
+            dense = forward_detect(net, img)
+            regressed = assert_gated_matches_dense(forward_detect(net, img, gate=GATE), dense, GATE)
+            assert regressed[: 160 * 160].mean() < 0.5  # tap 0 really ran in bands
+            got = detect_images(net, {"x": img}, decode_cfg)["x"]
+            assert got and got == decode_baseline(dense, grid, decode_cfg).detections
 
 
 class TestDetectionHead:
