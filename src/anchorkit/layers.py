@@ -1,4 +1,4 @@
-"""From-scratch conv-net primitives: conv2d, relu, and 2x upsample-add fusion.
+"""From-scratch conv-net primitives: conv2d (with fused ReLU) and 2x upsample-add fusion.
 
 Tensors are single-image (C, H, W) float arrays; weights are
 (out_ch, in_ch, kh, kw). Convolutions always use "same" padding
@@ -6,26 +6,41 @@ Tensors are single-image (C, H, W) float arrays; weights are
 lines up with the ceil-division anchor layout.
 
 conv2d reads its input through phase planes instead of a 9x im2col
-buffer. It pads the input once and splits it into stride**2 phase planes, each a contiguous (C, hq*wq) array, where
-phase (a, b) holds the padded pixels at rows a, a + s, ... and columns
-b, b + s, .... Tap (i, j) of the kernel then reads phase (i % s, j % s)
-from flat offset (i // s) * wq + j // s: a column slice of the plane
-that BLAS takes without a copy. The output is computed on an
-(h_out, wq) grid; its wq - w_out right-hand columns wrap into the next
-row, so forward cuts them and backward feeds them a zero gradient.
+buffer. It pads the input once and splits it into stride**2 phase
+planes, each a contiguous (C, hq*wq) array, where phase (a, b) holds the
+padded pixels at rows a, a + s, ... and columns b, b + s, .... Tap (i, j)
+of the kernel then reads phase (i % s, j % s) from flat offset
+(i // s) * wq + j // s: a column slice of the plane that BLAS takes
+without a copy. The output is computed on an (h_out, wq) grid of
+n = h_out * wq columns; its wq - w_out right-hand columns wrap into the
+next row, so forward cuts them and backward feeds them a zero gradient.
 
-Inputs with at least ``_STACK_BELOW_CHANNELS`` (16) channels run one
-GEMM per tap, ``W[:, :, i, j] @ slice``, accumulated, and copy nothing.
-Thinner inputs (the 1-channel stem, the 8-channel stride-2 conv) do
-copy: they stack the tap slices into one (C*kh*kw, n) operand, an
-im2col of at most 135 rows, and run a single GEMM. Per tap their
-product has K = C, and each tap's (O, n) partial sum costs more memory
-traffic than the copy of the thin input; on the 640x640 net, per-tap
-GEMMs for these two convs made detection about 90 ms per image slower
-(2.57 -> 2.10 images/s, median of ten runs each). The backward is per
-tap for every conv: ``grad_w[:, :, i, j] = g @ slice.T`` and
-``W[:, :, i, j].T @ g`` is added into the gradient plane at the same
-slice, which is then split back into pixels.
+The grid is computed in column blocks. A block is
+``_BLOCK_BYTES // (itemsize * (C + 2 * O))`` columns, rounded down to a
+multiple of ``_BAND_ALIGN`` (16), so that its input slice, its partial
+sum and its output slice stay in L2 (2 MiB per core on the Xeon it was
+tuned on). Block edges sit at multiples of the block width counted from
+grid column 0. Inputs with at least ``_STACK_BELOW_CHANNELS`` (16)
+channels run one GEMM per tap into the block, ``W[:, :, i, j] @ slice``,
+and sum them there. Thinner inputs (the 1-channel stem, the 8-channel
+stride-2 conv) stack one block's tap slices into a (C*kh*kw, block)
+operand and run a single GEMM: per tap their product has K = C, and each
+tap's partial sum costs more memory traffic than copying the thin input
+(on the 640x640 net, per-tap GEMMs for these two convs made detection
+about 90 ms per image slower). With ``relu=True`` the epilogue of each
+block, the bias add and ReLU, runs while the block is still in cache, so
+a ReLU costs no pass of its own over the map; it is the only ReLU the
+network runs, in training too. A sweep of 256 KiB to 4 MiB on the
+640x640 net (2-core AVX-512 Xeon, 1 BLAS thread, in-process rotation)
+gave median sparse-detection image times of 340/317/307/305/300 ms and
+dense ones of 523/494/478/467/477 ms: 256 KiB is slower, 1-4 MiB are
+alike, and ``_BLOCK_BYTES`` is 1 MiB.
+
+The backward is per tap for every conv: ``grad_w[:, :, i, j] = g @
+slice.T`` and ``W[:, :, i, j].T @ g`` is added into the gradient plane at
+the same slice, which is then split back into pixels. A fused ReLU's
+mask, ``output > 0`` (exactly ``pre-activation > 0``), is recorded with
+the cache.
 
 The summation order differs from one im2col GEMM, so results are not
 bit-identical to it: float64 outputs match the loop oracle within 1e-12
@@ -33,20 +48,34 @@ bit-identical to it: float64 outputs match the loop oracle within 1e-12
 outputs (up to about 7 in magnitude) differ from im2col by at most
 about 4e-6. Reruns are byte-identical.
 
+Blocking does not change a bit, by measurement rather than by
+construction: OpenBLAS's sgemm (SkylakeX kernels, 0.3.31) gives a column
+slice of a product the full product's bits when the slice starts and
+ends on multiples of 16 columns. On a 160x160 map with C = 64, slices
+with unaligned start and length differed from the full product in 10 of
+24 draws at O = 4 and 5 of 24 at O = 64, and aligned ones in none. A
+grid whose length is not a multiple of 16 ends on a partial 16, and a
+slice ending there differed whenever it was narrow (every width up to
+232 columns at O = C = 64; 20x20 map, 440 columns, cut into 336 + 104).
+Such grids therefore run as one block, which is the unblocked product.
+On the 640x640 net they are taps 3-5 (440, 120 and 35 columns) and the
+80 -> 40 stride-2 conv (1,640 columns), all under one block anyway.
+
 A gated detection forward asks conv2d for some output rows only
 (``rows``). Each row interval becomes a range of grid columns, rounded
-outward to multiples of ``_BAND_ALIGN`` (16) columns, and the same per-tap
-GEMMs run on those column slices; only the input rows they read are
-copied into the phase planes. The requested rows must be bit-identical to
-the full output, and OpenBLAS's sgemm (Haswell kernels, 0.3.31) gives a
-column slice of a product the full product's bits only on that grid: on a
-160x160 map with C = 64, bands with unaligned start and length differed
-from the full product in 10 of 24 draws at O = 4 and 5 of 24 at O = 64,
-and aligned bands in none. A grid whose length h_out * wq is not a
-multiple of 16 ends on a partial block, and there a band that ends at the
-grid's end differed in 4 of 12 draws (20x20 map, O = 64); such grids run
-whole. On the 640x640 net that is taps 3-5 (grids of 440, 120 and 35
-columns). A request covering the whole grid takes the unbanded path.
+outward to multiples of 16 columns, cut at the same block edges as the
+full grid, and only the input rows those columns read are copied into
+the phase planes. Requested rows are then the full output's bits, on
+the rule above; grids whose length is not a multiple of 16 run whole,
+as does a request covering the whole grid.
+
+An inference forward passes a :class:`Workspace`: conv2d then takes its
+phase planes, block scratch and output from the workspace's named
+buffers, which the next image reuses, and returns no cache. Without the
+reuse, each 640x640 image mapped and faulted its largest maps afresh
+(about 6,700 minor page faults and 25 ms of system time per sparse
+image, against 80-240 and about 1 ms for the unblocked convs); with it,
+a steady detection loop takes none.
 
 Forward functions return a cache consumed by the matching backward
 function; conv2d's cache holds the weights second. All ops follow the
@@ -56,13 +85,14 @@ checks).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
+    "Workspace",
     "conv2d",
     "conv2d_backward",
-    "relu",
-    "relu_backward",
     "upsample2",
     "upsample2_backward",
     "fuse",
@@ -73,9 +103,14 @@ __all__ = [
 # BLAS; those convs stack the tap slices into one GEMM instead.
 _STACK_BELOW_CHANNELS = 16
 
-# Row bands of a banded conv start and end on multiples of this many grid
-# columns, where OpenBLAS's sgemm gives the full product's bits.
+# Column blocks and the row bands of a banded conv start and end on
+# multiples of this many grid columns, where OpenBLAS's sgemm gives the
+# full product's bits.
 _BAND_ALIGN = 16
+
+# A conv sums its tap GEMMs over column blocks whose input, partial-sum and
+# output slices take about this many bytes, so they stay in L2.
+_BLOCK_BYTES = 1 << 20
 
 
 def _layout(h: int, wd: int, kh: int, kw: int, s: int):
@@ -129,33 +164,106 @@ def _column_spans(rows: list[tuple[int, int]], wq: int, n: int) -> list[tuple[in
     return None if spans == [(0, n)] else spans
 
 
-def _taps_product(planes: np.ndarray, w: np.ndarray, taps, c0: int, c1: int) -> np.ndarray:
-    """(O, c1 - c0) block of the conv GEMMs over grid columns [c0, c1)."""
+class Workspace:
+    """Named buffers that conv2d reuses from call to call instead of allocating.
+
+    Each name holds one flat buffer, regrown when a request does not fit.
+    Taking a name hands out its buffer again, so a caller takes a name only
+    once nothing it read from that name earlier is still needed. Not
+    thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised ``shape`` array backed by buffer ``name``."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _empty(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    return np.empty(shape, dtype)
+
+
+def _block_width(c: int, o: int, itemsize: int) -> int:
+    """Grid columns per block: its input, partial-sum and output slices fill ``_BLOCK_BYTES``."""
+    cols = _BLOCK_BYTES // (itemsize * (c + 2 * o)) // _BAND_ALIGN * _BAND_ALIGN
+    return max(cols, _BAND_ALIGN)
+
+
+def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, spans, out: np.ndarray, relu: bool, take):
+    """Write the conv into columns ``spans`` of ``out`` (O, n), block by block.
+
+    Blocks are cut at multiples of the block width counted from grid column
+    0. Each block's tap GEMMs are summed, its bias added and, with ``relu``,
+    its negatives zeroed while its slices are still in cache.
+    """
     o, c, kh, kw = w.shape
-    if c < _STACK_BELOW_CHANNELS:
-        stacked = np.stack([planes[p, :, off + c0 : off + c1] for p, off in taps])
-        return w.transpose(0, 2, 3, 1).reshape(o, -1) @ stacked.reshape(-1, c1 - c0)
-    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-    (p, off), rest = taps[0], taps[1:]
-    out = w_taps[0] @ planes[p, :, off + c0 : off + c1]
-    part = np.empty_like(out)
-    for t, (p, off) in enumerate(rest, 1):
-        np.matmul(w_taps[t], planes[p, :, off + c0 : off + c1], out=part)
-        out += part
-    return out
+    n = out.shape[1]
+    width = n if n % _BAND_ALIGN else min(_block_width(c, o, out.itemsize), n)
+    stack = c < _STACK_BELOW_CHANNELS
+    if stack:
+        w_mat = w.transpose(0, 2, 3, 1).reshape(o, -1)
+        scratch = take("scratch", (kh * kw * c * width,), planes.dtype)
+    else:
+        w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+        scratch = take("scratch", (o * width,), out.dtype)
+    bias = b[:, None]
+    for c0, c1 in spans:
+        for k0 in range(c0 - c0 % width, c1, width):
+            lo, hi = max(k0, c0), min(k0 + width, c1)
+            block = out[:, lo:hi]
+            if stack:
+                stacked = scratch[: kh * kw * c * (hi - lo)].reshape(kh * kw, c, hi - lo)
+                for t, (p, off) in enumerate(taps):
+                    stacked[t] = planes[p, :, off + lo : off + hi]
+                np.matmul(w_mat, stacked.reshape(-1, hi - lo), out=block)
+            else:
+                part = scratch[: o * (hi - lo)].reshape(o, hi - lo)
+                (p, off), rest = taps[0], taps[1:]
+                np.matmul(w_taps[0], planes[p, :, off + lo : off + hi], out=block)
+                for t, (p, off) in enumerate(rest, 1):
+                    np.matmul(w_taps[t], planes[p, :, off + lo : off + hi], out=part)
+                    block += part
+            block += bias
+            if relu:
+                np.maximum(block, 0.0, out=block)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, rows=None):
-    """Same-padded convolution; returns (output, cache).
+def conv2d(
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    stride: int = 1,
+    rows=None,
+    relu: bool = False,
+    work: Workspace | None = None,
+    slot: str = "out",
+):
+    """Same-padded convolution, optionally followed by ReLU; returns (output, cache).
 
     x: (C, H, W); w: (O, C, kh, kw) with odd kernels; b: (O,).
     Output: (O, ceil(H/stride), ceil(W/stride)).
 
+    The grid is computed in cache-sized column blocks, and each block's
+    bias add and, with ``relu=True``, its ReLU run while the block is in
+    cache (see the module docstring). The cache then records the mask
+    ``output > 0`` for :func:`conv2d_backward`.
+
     ``rows``, a sorted list of disjoint half-open output-row intervals
-    ``(lo, hi)``, asks for those rows only (see the module docstring).
-    Their values are bit-identical to the full output's; the other rows
-    are not defined, and the cache is then not fit for
-    :func:`conv2d_backward`.
+    ``(lo, hi)``, asks for those rows only. Their values are bit-identical
+    to the full output's; the other rows are not defined, and the cache is
+    then not fit for :func:`conv2d_backward`.
+
+    ``work`` (inference) supplies the phase planes, the block scratch and
+    the output, which is its buffer ``slot`` and so holds only until
+    ``slot`` is taken again. ``x`` may lie in ``slot``: it is copied into
+    the phase planes before the output is written. No cache is made: the
+    second value is None.
     """
     c, h, wd = x.shape
     o, cw, kh, kw = w.shape
@@ -163,6 +271,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, rows=No
         raise ValueError(f"conv2d: input has {c} channels, weights expect {cw}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernels must be odd, got {kh}x{kw}")
+    take = _empty if work is None else work.take
     s = stride
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
     n = h_out * wq
@@ -173,31 +282,38 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, rows=No
     plane_rows = [(0, hq)] if spans is None else [
         (c0 // wq, min(hq, (c1 - 1 + reach) // wq + 1)) for c0, c1 in spans
     ]
-    planes = np.zeros((s * s, c, hq * wq + (kw - 1) // s), dtype=x.dtype)
+    planes = take("planes", (s * s, c, hq * wq + (kw - 1) // s), x.dtype)
+    planes[:, :, hq * wq :] = 0
     grid = _grid(planes, s, hq, wq)
     for p, prows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
+        # zero the padding around the pixels; rows outside plane_rows are never read
+        g = grid[p]
+        g[:, : prows.start] = 0
+        g[:, prows.stop :] = 0
+        g[:, :, : cols.start] = 0
+        g[:, :, cols.stop :] = 0
         for r0, r1 in plane_rows:
             lo, hi = max(r0, prows.start), min(r1, prows.stop)
             if lo < hi:
                 y = ys.start + (lo - prows.start) * s
-                grid[p, :, lo:hi, cols] = x[:, y : y + (hi - lo - 1) * s + 1 : s, xs]
+                g[:, lo:hi, cols] = x[:, y : y + (hi - lo - 1) * s + 1 : s, xs]
 
-    if spans is None:
-        out = _taps_product(planes, w, taps, 0, n)
-        out += b[:, None]
-    else:
-        out = np.zeros((o, n), dtype=np.result_type(x, w))
-        for c0, c1 in spans:
-            band = _taps_product(planes, w, taps, c0, c1)
-            band += b[:, None]
-            out[:, c0:c1] = band
+    out = take(slot, (o, n), np.result_type(x, w))
+    _taps_product(planes, w, b, taps, [(0, n)] if spans is None else spans, out, relu, take)
     out = out.reshape(o, h_out, wq)[:, :, :w_out]
-    return out, (x.shape, w, planes, stride)
+    if work is not None:
+        return out, None
+    return out, (x.shape, w, planes, stride, out > 0.0 if relu else None)
 
 
-def conv2d_backward(grad_out: np.ndarray, cache):
-    """Gradients of conv2d w.r.t. input, weights, and bias."""
-    (c, h, wd), w, planes, s = cache
+def conv2d_backward(grad_out: np.ndarray, cache, input_grad: bool = True):
+    """Gradients of conv2d (and its ReLU, if fused) w.r.t. input, weights, and bias.
+
+    ``input_grad=False`` skips the input gradient and returns None for it.
+    """
+    (c, h, wd), w, planes, s, mask = cache
+    if mask is not None:
+        grad_out = grad_out * mask
     o, _, kh, kw = w.shape
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
     n = h_out * wq
@@ -206,28 +322,22 @@ def conv2d_backward(grad_out: np.ndarray, cache):
     g = g.reshape(o, n)
 
     grad_b = g.sum(axis=1)
-    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
     grad_taps = np.empty((kh * kw, o, c), dtype=grad_out.dtype)
-    grad_planes = np.zeros(planes.shape, dtype=grad_out.dtype)
     for t, (p, off) in enumerate(taps):
         np.matmul(g, planes[p, :, off : off + n].T, out=grad_taps[t])
-        grad_planes[p, :, off : off + n] += w_taps[t].T @ g
     grad_w = grad_taps.transpose(1, 2, 0).reshape(w.shape)
+    if not input_grad:
+        return None, grad_w, grad_b
 
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+    grad_planes = np.zeros(planes.shape, dtype=grad_out.dtype)
+    for t, (p, off) in enumerate(taps):
+        grad_planes[p, :, off : off + n] += w_taps[t].T @ g
     grid = _grid(grad_planes, s, hq, wq)
     grad_x = np.empty((c, h, wd), dtype=grad_out.dtype)
     for p, rows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
         grad_x[:, ys, xs] = grid[p, :, rows, cols]
     return grad_x, grad_w, grad_b
-
-
-def relu(x: np.ndarray):
-    out = np.maximum(x, 0.0)
-    return out, out > 0.0
-
-
-def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return grad_out * mask
 
 
 def upsample2(x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:

@@ -23,14 +23,7 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .geometry import AnchorConfig, LayerSpec
-from .layers import (
-    conv2d,
-    conv2d_backward,
-    fuse,
-    relu,
-    relu_backward,
-    upsample2_backward,
-)
+from .layers import Workspace, conv2d, conv2d_backward, fuse, upsample2_backward
 
 __all__ = [
     "StageSpec",
@@ -163,9 +156,16 @@ class NetConfig:
 
 @dataclass
 class Network:
+    """A detector's topology and weights.
+
+    ``work`` holds the buffers an inference forward reuses from image to
+    image, so a Network runs one :func:`forward_detect` at a time.
+    """
+
     config: NetConfig
     params: dict[str, np.ndarray] = field(repr=False)
     seed: int
+    work: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     def astype(self, dtype) -> "Network":
         return Network(
@@ -252,13 +252,15 @@ def _branch(
     head_depth: int,
     split_heads: bool,
     rows: np.ndarray | None = None,
+    work: Workspace | None = None,
 ):
     """One head branch: trunk convs with ReLU (split heads only), then the terminal conv.
 
-    Returns ``(map, caches)``. ``rows`` (sorted map rows) restricts the
-    branch to what those rows of its output read: each conv computes them
-    widened by the (k - 1) // 2 halo of every conv after it. The map's
-    other rows are then not defined.
+    Returns ``(map, caches)``; with ``work`` (inference) the convs run in
+    its buffers and their caches are None. ``rows`` (sorted map rows)
+    restricts the branch to what those rows of its output read: each conv
+    computes them widened by the (k - 1) // 2 halo of every conv after it.
+    The map's other rows are then not defined.
     """
     names = [f"{prefix}.{branch}{d}" for d in range(head_depth if split_heads else 0)]
     names.append(f"{prefix}.{branch}_out")
@@ -268,12 +270,10 @@ def _branch(
         if rows is not None:
             halo = sum((params[f"{later}.w"].shape[2] - 1) // 2 for later in names[i + 1 :])
             spans = _row_spans(rows, halo, x.shape[1])
-        y, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], rows=spans)
-        mask = None
-        if i + 1 < len(names):
-            x, mask = relu(y)
-        caches.append((name, cc, mask))
-    return y, caches
+        w, b = params[f"{name}.w"], params[f"{name}.b"]
+        x, cc = conv2d(x, w, b, rows=spans, relu=i + 1 < len(names), work=work, slot=branch)
+        caches.append((name, cc))
+    return x, caches
 
 
 def _head_backward(cls_caches: list, reg_caches: list) -> Callable:
@@ -281,9 +281,7 @@ def _head_backward(cls_caches: list, reg_caches: list) -> Callable:
         grads: dict[str, np.ndarray] = {}
         grad_feature = None
         for g, caches in ((grad_cls, cls_caches), (grad_reg, reg_caches)):
-            for name, cc, mask in reversed(caches):
-                if mask is not None:
-                    g = relu_backward(g, mask)
+            for name, cc in reversed(caches):
                 g, gw, gb = conv2d_backward(g, cc)
                 grads[f"{name}.w"] = gw
                 grads[f"{name}.b"] = gb
@@ -313,8 +311,12 @@ def detection_head(
 
 
 def _map_rows(m: np.ndarray) -> np.ndarray:
-    """Row-major flatten of a (C, H, W) head map to (H*W, C) anchor rows."""
-    return np.moveaxis(m, 0, 2).reshape(-1, m.shape[0])
+    """Row-major flatten of a (C, H, W) head map to (H*W, C) anchor rows, always a copy.
+
+    A reshape alone returns a view of a one-row or one-column map, which
+    would still be the work buffer that the next tap's convs overwrite.
+    """
+    return np.array(np.moveaxis(m, 0, 2), order="C").reshape(-1, m.shape[0])
 
 
 def flatten_maps(cls_map: np.ndarray, reg_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +347,13 @@ def forward_detect(
     """Full forward pass; optionally also return a backward closure.
 
     The closure maps (grad_logits, grad_offsets) — laid out like the
-    RawOutput rows — to a dict of parameter gradients.
+    RawOutput rows — to a dict of parameter gradients. Only then are conv
+    caches and ReLU masks kept. Without ``want_grad``, every conv runs in
+    ``net.work``'s buffers, which the next image reuses, and keeps nothing
+    for a backward: a gated 640x640 forward on a net with empty buffers
+    peaks at about 61 MB of numpy memory (tracemalloc), against 177 MB when
+    every conv's phase planes and ReLU mask were kept. Both paths compute
+    the same bits.
 
     ``gate`` (inference only) runs threshold-first inside the network:
     after a tap's classification branch it scores the tap's anchors as
@@ -364,57 +372,62 @@ def forward_detect(
     if want_grad and gate is not None:
         raise ValueError("a gated forward has no backward pass")
 
-    # Backbone
+    # Without a backward, every conv runs in the net's work buffers. A conv
+    # may write the buffer its input is in, so the backbone needs one, and
+    # each tap is projected before the next stage overwrites it.
+    work = None if want_grad else net.work
+
+    # Backbone, with the 1x1 projections of the taps to the head channel count
+    n_taps = len(cfg.taps)
     x = image
-    stage_outputs: list[np.ndarray] = []
     bb_caches: list[list] = []
+    feats: list[np.ndarray] = []
+    proj_caches: list[tuple] = []
     for si, stage in enumerate(cfg.stages):
         stage_caches = []
         for ci in range(stage.n_convs):
             stride = stage.stride if ci == stage.n_convs - 1 else 1
             name = f"stage{si}.conv{ci}"
-            y, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=stride)
-            x, mask = relu(y)
-            stage_caches.append((name, cc, mask))
+            x, cc = conv2d(
+                x, params[f"{name}.w"], params[f"{name}.b"], stride=stride, relu=True, work=work, slot="backbone"
+            )
+            stage_caches.append((name, cc))
         bb_caches.append(stage_caches)
-        stage_outputs.append(x)
+        if si in cfg.taps:
+            name = f"proj{len(feats)}"
+            z, cc = conv2d(x, params[f"{name}.w"], params[f"{name}.b"], relu=True, work=work, slot=name)
+            feats.append(z)
+            proj_caches.append((name, cc))
+    proj_shapes = [z.shape for z in feats]
 
-    # 1x1 projections to the head channel count
-    n_taps = len(cfg.taps)
-    proj: list[np.ndarray] = []
-    proj_caches: list[tuple] = []
-    for ti, si in enumerate(cfg.taps):
-        name = f"proj{ti}"
-        y, cc = conv2d(stage_outputs[si], params[f"{name}.w"], params[f"{name}.b"])
-        z, mask = relu(y)
-        proj.append(z)
-        proj_caches.append((name, cc, mask))
-
-    # One-hop fusion: each tap except the deepest absorbs its successor
-    feats = list(proj)
+    # One-hop fusion: each tap except the deepest absorbs its successor's
+    # projection, which is not yet fused when taken in ascending order
     if cfg.fusion:
-        for ti in range(n_taps - 2, -1, -1):
-            feats[ti] = fuse(proj[ti], proj[ti + 1])
+        for ti in range(n_taps - 1):
+            feats[ti] = fuse(feats[ti], feats[ti + 1])
 
     # Detection heads, per tap: classification, the gate, then regression
     head_backs = []
     logit_rows, offset_rows, dims = [], [], []
     for ti in range(n_taps):
         prefix = f"head{ti}"
-        cls_map, cls_caches = _branch(feats[ti], params, prefix, "cls", cfg.head_depth, cfg.split_heads)
+        cls_map, cls_caches = _branch(
+            feats[ti], params, prefix, "cls", cfg.head_depth, cfg.split_heads, work=work
+        )
         h, w = cls_map.shape[1:]
         logit_rows.append(_map_rows(cls_map))
         rows = None if gate is None else _gated_rows(logit_rows[-1], gate, h, w)
         reg_map, reg_caches = _branch(
-            feats[ti], params, prefix, "reg", cfg.head_depth, cfg.split_heads, rows=rows
+            feats[ti], params, prefix, "reg", cfg.head_depth, cfg.split_heads, rows=rows, work=work
         )
+        offset_rows.append(_map_rows(reg_map))
         if rows is not None:
             regressed = np.zeros(h, dtype=bool)
             regressed[rows] = True
-            reg_map[:, ~regressed] = np.nan
-        offset_rows.append(_map_rows(reg_map))
+            offset_rows[-1].reshape(h, w, -1)[~regressed] = np.nan
         dims.append((h, w))
-        head_backs.append(_head_backward(cls_caches, reg_caches))
+        if want_grad:
+            head_backs.append(_head_backward(cls_caches, reg_caches))
 
     raw = RawOutput(
         logits=np.concatenate(logit_rows, axis=0),
@@ -446,7 +459,7 @@ def forward_detect(
         proj_grads = list(feat_grads)
         if cfg.fusion:
             for ti in range(n_taps - 1):
-                hi = proj[ti + 1].shape
+                hi = proj_shapes[ti + 1]
                 proj_grads[ti + 1] = proj_grads[ti + 1] + upsample2_backward(
                     feat_grads[ti], hi[1], hi[2]
                 )
@@ -454,24 +467,23 @@ def forward_detect(
         # Projections back into their backbone stages
         stage_grads: dict[int, np.ndarray] = {}
         for ti, si in enumerate(cfg.taps):
-            name, cc, mask = proj_caches[ti]
-            g = relu_backward(proj_grads[ti], mask)
-            gx, gw, gb = conv2d_backward(g, cc)
+            name, cc = proj_caches[ti]
+            gx, gw, gb = conv2d_backward(proj_grads[ti], cc)
             grads[f"{name}.w"] += gw
             grads[f"{name}.b"] += gb
             stage_grads[si] = stage_grads.get(si, 0) + gx
 
-        # Backbone chain, deepest stage first
+        # Backbone chain, deepest stage first; stages past the deepest tap
+        # get no gradient. The image's gradient is not computed.
         running: np.ndarray | None = None
         for si in range(len(cfg.stages) - 1, -1, -1):
             g = stage_grads.get(si)
             if running is not None:
                 g = running if g is None else g + running
             if g is None:
-                g = np.zeros_like(stage_outputs[si])
-            for name, cc, mask in reversed(bb_caches[si]):
-                g = relu_backward(g, mask)
-                g, gw, gb = conv2d_backward(g, cc)
+                continue
+            for name, cc in reversed(bb_caches[si]):
+                g, gw, gb = conv2d_backward(g, cc, input_grad=name != "stage0.conv0")
                 grads[f"{name}.w"] += gw
                 grads[f"{name}.b"] += gb
             running = g

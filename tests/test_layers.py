@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,11 @@ from hypothesis import strategies as st
 from anchorkit import layers
 from anchorkit.gradcheck import check_conv2d, check_fuse, finite_diff, rel_err
 from anchorkit.layers import (
+    Workspace,
     conv2d,
     conv2d_backward,
     fuse,
     fuse_backward,
-    relu,
-    relu_backward,
     upsample2,
     upsample2_backward,
 )
@@ -124,7 +125,8 @@ class TestConv2d:
     def test_grid_off_16_columns_runs_whole(self):
         # A 20x20 map's grid has 440 columns. Banded, its last block is
         # partial, and a band ending there differed from the full product
-        # in about a third of draws; such a grid must run whole.
+        # in about a third of draws; such a grid must run whole. Cut into
+        # column blocks of 336 + 104, its last block differed too.
         rng = np.random.default_rng(20)
         for lo in range(0, 20, 2):
             x = rng.normal(size=(64, 20, 20)).astype(np.float32)
@@ -133,6 +135,8 @@ class TestConv2d:
             full, _ = conv2d(x, w, b)
             banded, _ = conv2d(x, w, b, rows=[(lo, 20)])
             np.testing.assert_array_equal(banded[:, lo:], full[:, lo:])
+            with mock.patch.object(layers, "_BLOCK_BYTES", 336 * 4 * (64 + 2 * 64)):
+                np.testing.assert_array_equal(conv2d(x, w, b)[0], full)
 
     def test_column_spans(self):
         # rows 1-2 and 5 of an 8-row grid of 10 columns: columns [10, 30)
@@ -163,15 +167,119 @@ class TestConv2d:
         assert out.dtype == np.float32
 
 
+# Memory conv2d allocates holds NaN, so a conv that reads a value it did not
+# write shows it in its output or, through 0 * NaN, in its gradients.
+def nan_empty(name, shape, dtype):
+    return np.full(shape, np.nan, dtype)
+
+
+def poisoned_workspace(sizes: dict[str, int]) -> Workspace:
+    """A Workspace whose float32 buffers hold ``sizes[name]`` NaNs each."""
+    work = Workspace()
+    for name, size in sizes.items():
+        work.take(name, (size,), np.float32)[:] = np.nan
+    return work
+
+
 class TestRelu:
+    # ReLU runs only inside conv2d(..., relu=True); a 1x1 identity conv
+    # exposes it element by element.
+    def identity(self, values):
+        x = np.array(values).reshape(len(values), 1, 1)
+        return x, np.eye(len(values)).reshape(len(values), len(values), 1, 1), np.zeros(len(values))
+
     def test_forward_and_mask(self):
-        out, mask = relu(np.array([-1.0, 0.0, 2.0]))
-        np.testing.assert_allclose(out, [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(mask, [False, False, True])
+        x, w, b = self.identity([-1.0, 0.0, 2.0])
+        out, cache = conv2d(x, w, b, relu=True)
+        np.testing.assert_allclose(out.ravel(), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(cache[-1].ravel(), [False, False, True])
 
     def test_backward(self):
-        _, mask = relu(np.array([-1.0, 3.0]))
-        np.testing.assert_allclose(relu_backward(np.array([5.0, 5.0]), mask), [0.0, 5.0])
+        x, w, b = self.identity([-1.0, 3.0])
+        _, cache = conv2d(x, w, b, relu=True)
+        gx, _, gb = conv2d_backward(np.full((2, 1, 1), 5.0), cache)
+        np.testing.assert_allclose(gx.ravel(), [0.0, 5.0])
+        np.testing.assert_allclose(gb, [0.0, 5.0])
+
+
+class TestColumnBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_block_edges(self, data):
+        # _BLOCK_BYTES is shrunk so that blocks are 16-64 columns wide and
+        # the grid spans at least 3 of them; the blocked runs allocate NaN.
+        c = data.draw(st.sampled_from([3, 17, 64]), "channels")
+        o = data.draw(st.sampled_from([2, 4, 64]), "filters")
+        stride = data.draw(st.sampled_from([1, 2]), "stride")
+        width = 16 * data.draw(st.integers(1, 4), "block width / 16")
+        if data.draw(st.booleans(), "whole 16-column blocks"):
+            wd = stride * 16 * data.draw(st.integers(1, 2)) - 2  # wq = 16 k
+        else:
+            wd = data.draw(st.integers(1, 40), "width")
+        _, _, _, wq, _ = layers._layout(1, wd, 3, 3, stride)
+        h_min = -(-3 * width // wq) * stride
+        h = data.draw(st.integers(h_min, h_min + 8), "height")
+        h_out, _, hq, wq, _ = layers._layout(h, wd, 3, 3, stride)
+        n = h_out * wq
+        assert n >= 3 * width
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        x = rng.normal(size=(c, h, wd))
+        w = rng.normal(size=(o, c, 3, 3))
+        b = rng.normal(size=o)
+        x32, w32, b32 = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+        # a block edge inside the grid, and the output rows around it
+        edge = width * data.draw(st.integers(1, (n - 1) // width), "edge")
+        rows = [((edge - 1) // wq, edge // wq + 1)]
+
+        def run(x, w, b, **kw):
+            return conv2d(x, w, b, stride=stride, **kw)[0]
+
+        unblocked = run(x32, w32, b32)
+        g = rng.normal(size=unblocked.shape).astype(np.float32)
+        want_grads = conv2d_backward(g, conv2d(x32, w32, b32, stride=stride, relu=True)[1])
+        with mock.patch.object(layers, "_BLOCK_BYTES", width * 4 * (c + 2 * o)), \
+                mock.patch.object(layers, "_empty", nan_empty):
+            assert layers._block_width(c, o, 4) == width
+            with mock.patch.object(layers, "_BLOCK_BYTES", width * 8 * (c + 2 * o)):
+                # the loop oracle is slow: check one output channel of the float64 conv
+                oc = data.draw(st.integers(0, o - 1), "checked channel")
+                want = conv2d_oracle(x, w[oc : oc + 1], b[oc : oc + 1], stride)
+                np.testing.assert_allclose(run(x, w, b)[oc : oc + 1], want, atol=1e-12)
+            full = run(x32, w32, b32)
+            fused, cache = conv2d(x32, w32, b32, stride=stride, relu=True)
+            grads = conv2d_backward(g, cache)
+            banded = run(x32, w32, b32, rows=rows)
+            sizes = {"planes": stride**2 * c * (hq * wq + 1), "scratch": 9 * c * n + o * n, "out": o * n}
+            work = poisoned_workspace(sizes)
+            in_work = run(x32, w32, b32, relu=True, work=work).copy()  # the next call takes "out" again
+            banded_in_work = run(x32, w32, b32, rows=rows, work=work)
+        np.testing.assert_array_equal(full, unblocked)
+        np.testing.assert_array_equal(fused, np.maximum(full, 0.0))
+        np.testing.assert_array_equal(in_work, fused)
+        for got, want in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, want)
+        for lo, hi in rows:
+            np.testing.assert_array_equal(banded[:, lo:hi], full[:, lo:hi])
+            np.testing.assert_array_equal(banded_in_work[:, lo:hi], full[:, lo:hi])
+
+    def test_block_width(self):
+        # 1 MiB of float32 over C + 2 O rows, rounded down to 16 columns
+        assert layers._block_width(64, 64, 4) == (1 << 20) // (4 * 192) // 16 * 16 == 1360
+        assert layers._block_width(1, 8, 4) == 15408
+        assert layers._block_width(4096, 4096, 8) == 16
+
+    def test_input_gradient_skipped(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(17, 9, 8)).astype(np.float32)
+        w = rng.normal(size=(5, 17, 3, 3)).astype(np.float32)
+        out, cache = conv2d(x, w, np.zeros(5, dtype=np.float32), stride=2, relu=True)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        gx, gw, gb = conv2d_backward(g, cache)
+        none, gw_only, gb_only = conv2d_backward(g, cache, input_grad=False)
+        assert gx.shape == x.shape and none is None
+        np.testing.assert_array_equal(gw_only, gw)
+        np.testing.assert_array_equal(gb_only, gb)
 
 
 class TestUpsampleFuse:

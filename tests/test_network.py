@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from anchorkit.geometry import AnchorConfig, generate_anchors, receptive_field
 from anchorkit.gradcheck import check_detection_head, finite_diff, rel_err
 from anchorkit.network import (
     NetConfig,
+    Network,
     StageSpec,
     build_network,
     detection_head,
@@ -37,6 +39,21 @@ def make_sparse(net, image, share):
     shift = np.log(GATE / (1 - GATE)) - float(np.quantile(margin, 1 - share))
     for ti in range(len(net.config.taps)):
         net.params[f"head{ti}.cls_out.b"] += np.float32([-shift / 2, shift / 2])
+
+
+@pytest.fixture(scope="module")
+def net640():
+    """The stock six-layer 640x640 net with about 0.5% of anchors gated, and three images."""
+    toy = NetConfig.toy()
+    cfg = NetConfig(
+        stages=toy.stages + tuple(StageSpec(2, 64, 2) for _ in range(4)),
+        taps=(2, 3, 4, 5, 6, 7),
+        anchors=AnchorConfig(),
+    )
+    net = build_network(cfg, seed=0)
+    images, _ = synth_dataset(SynthConfig(image_size=640), 3, seed=5)
+    make_sparse(net, images[0], 0.005)
+    return net, images
 
 
 def assert_gated_matches_dense(gated, dense, gate):
@@ -199,20 +216,12 @@ class TestGatedForward:
         with pytest.raises(ValueError, match="gated forward"):
             forward_detect(toy_net(), img, want_grad=True, gate=GATE)
 
-    def test_640_sparse_bit_identical(self):
+    def test_640_sparse_bit_identical(self, net640):
         # Pins the 16-column band rule on this BLAS at paper scale: tap 0's
         # 160x160 map (25,920 grid columns) runs in bands, taps 3-5 (grids of
         # 440, 120 and 35 columns) run whole.
-        toy = NetConfig.toy()
-        cfg = NetConfig(
-            stages=toy.stages + tuple(StageSpec(2, 64, 2) for _ in range(4)),
-            taps=(2, 3, 4, 5, 6, 7),
-            anchors=AnchorConfig(),
-        )
-        net = build_network(cfg, seed=0)
-        images, _ = synth_dataset(SynthConfig(image_size=640), 3, seed=5)
-        make_sparse(net, images[0], 0.005)
-        grid = generate_anchors(cfg.anchors)
+        net, images = net640
+        grid = generate_anchors(net.config.anchors)
         decode_cfg = DecodeConfig()
         for img in images:
             dense = forward_detect(net, img)
@@ -220,6 +229,56 @@ class TestGatedForward:
             assert regressed[: 160 * 160].mean() < 0.5  # tap 0 really ran in bands
             got = detect_images(net, {"x": img}, decode_cfg)["x"]
             assert got and got == decode_baseline(dense, grid, decode_cfg).detections
+
+
+class TestInferenceForward:
+    """Without a backward, forward_detect runs in the net's reused buffers and keeps no caches."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        # 4-pixel images give one-row (or one-column) maps at both taps
+        [{}, {"fusion": False}, {"split_heads": False}, {"image_h": 4}, {"image_w": 4}, {"image_w": 4, "image_h": 4}],
+    )
+    def test_toy_equals_grad_forward(self, kwargs):
+        net = toy_net(seed=6, **kwargs)
+        anchors = net.config.anchors
+        images = np.random.default_rng(2).random((3, 1, anchors.image_h, anchors.image_w), dtype=np.float32)
+        for img in images:  # later images run in buffers the earlier ones filled
+            inference = forward_detect(net, img)
+            trained, _ = forward_detect(net, img, want_grad=True)
+            np.testing.assert_array_equal(inference.logits, trained.logits)
+            np.testing.assert_array_equal(inference.offsets, trained.offsets)
+
+    def test_640_equals_grad_forward(self, net640):
+        net, images = net640
+        for img in images:
+            inference = forward_detect(net, img)
+            trained, _ = forward_detect(net, img, want_grad=True)
+            np.testing.assert_array_equal(inference.logits, trained.logits)
+            np.testing.assert_array_equal(inference.offsets, trained.offsets)
+
+    def test_outputs_do_not_alias_buffers(self):
+        net = toy_net(seed=6)
+        images, _ = synth_dataset(SynthConfig(), 2, seed=2)
+        first = forward_detect(net, images[0])
+        kept = first.logits.copy(), first.offsets.copy()
+        forward_detect(net, images[1])
+        np.testing.assert_array_equal(first.logits, kept[0])
+        np.testing.assert_array_equal(first.offsets, kept[1])
+
+    def test_640_gated_peak_memory(self, net640):
+        # A net with empty buffers: the peak counts the buffers the forward
+        # fills (about 61 MB). Keeping every conv's phase planes and ReLU
+        # mask, as a forward with a backward does, peaked at 177 MB.
+        net, images = net640
+        fresh = Network(config=net.config, params=net.params, seed=net.seed)
+        tracemalloc.start()
+        try:
+            forward_detect(fresh, images[1], gate=GATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90e6, f"{peak / 1e6:.1f} MB"
 
 
 class TestDetectionHead:
