@@ -15,11 +15,18 @@ without a copy. The output is computed on an (h_out, wq) grid of
 n = h_out * wq columns; its wq - w_out right-hand columns wrap into the
 next row, so forward cuts them and backward feeds them a zero gradient.
 
-The grid is computed in column blocks. A block is
+The grid is computed in column blocks. A cache block is
 ``_BLOCK_BYTES // (itemsize * (C + 2 * O))`` columns, rounded down to a
 multiple of ``_BAND_ALIGN`` (16), so that its input slice, its partial
 sum and its output slice stay in L2 (2 MiB per core on the Xeon it was
-tuned on). Block edges sit at multiples of the block width counted from
+tuned on). A grid longer than one cache block is cut into a number of
+blocks that is a multiple of the worker count (below), of equal widths
+rounded up to 16 columns: an 80x80 map at 64 -> 64 channels runs as 6
+blocks of 1,104 columns rather than 5 of 1,360, the last one short, and
+a 40x40 map as 848 + 832 rather than 1,360 + 320. Timed alone at 2
+workers, the equal widths took 29.2 / 7.8 / 2.7 ms for 160/80/40-pixel
+maps against 30.1 / 8.5 / 3.5 ms (faster in 8, 10 and 12 of 12 rotated
+rounds). Block edges sit at multiples of the block width counted from
 grid column 0. Inputs with at least ``_STACK_BELOW_CHANNELS`` (16)
 channels run one GEMM per tap into the block, ``W[:, :, i, j] @ slice``,
 and sum them there. Thinner inputs (the 1-channel stem, the 8-channel
@@ -61,6 +68,30 @@ Such grids therefore run as one block, which is the unblocked product.
 On the 640x640 net they are taps 3-5 (440, 120 and 35 columns) and the
 80 -> 40 stride-2 conv (1,640 columns), all under one block anyway.
 
+A grid of several blocks runs on one worker thread per usable core,
+``len(os.sched_getaffinity(0))`` (``os.cpu_count()`` where there is no
+affinity mask). Its blocks are split into contiguous runs, one per
+worker; the calling thread runs the first, a lazily created module-level
+``ThreadPoolExecutor`` the others, and the phase-plane fill is split the
+same way by input channels. The process's CPU affinity mask (``taskset``)
+is the only control; there is no option, environment variable or BLAS
+setting. The bits cannot depend on the worker count: blocks write
+disjoint output columns, each block runs the same GEMMs, bias add and
+ReLU whichever thread runs it, and a block's edges move with the worker
+count only along the 16-column grid on which the bits were shown not to
+depend (above). Every run has its own block scratch, which the calling
+thread takes before it dispatches, so a :class:`Workspace` is still
+touched by the calling thread alone. A grid of one block, every conv of
+the toy net among them, runs inline and submits nothing. numpy releases
+the GIL inside the GEMMs and the copies, so the workers overlap. They
+are no BLAS thread setting in disguise: a 160x160 64 -> 64 conv took
+48.4 ms at 1 BLAS thread and 1 worker, 32.4 ms at 1 BLAS thread and 2
+workers, 40.6 ms at 2 BLAS threads and 1 worker and 46.7 ms at 2 and 2
+(2-core shared Xeon, medians of 10 rotated rounds): OpenBLAS's own
+threads gain less on these small GEMMs, and on top of the workers they
+oversubscribe the cores. A forked child drops the pool it inherited,
+whose threads do not exist in it, and builds a new one on first use.
+
 A gated detection forward asks conv2d for some output rows only
 (``rows``). Each row interval becomes a range of grid columns, rounded
 outward to multiples of 16 columns, cut at the same block edges as the
@@ -86,6 +117,9 @@ checks).
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -195,43 +229,141 @@ def _block_width(c: int, o: int, itemsize: int) -> int:
     return max(cols, _BAND_ALIGN)
 
 
-def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, spans, out: np.ndarray, relu: bool, take):
-    """Write the conv into columns ``spans`` of ``out`` (O, n), block by block.
+def _workers() -> int:
+    """Threads a conv of several blocks runs on: the cores this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
-    Blocks are cut at multiples of the block width counted from grid column
-    0. Each block's tap GEMMs are summed, its bias added and, with ``relu``,
-    its negatives zeroed while its slices are still in cache.
+
+def _block_plan(n: int, c: int, o: int, itemsize: int) -> tuple[int, int]:
+    """(block width, workers) for an n-column grid.
+
+    A grid of one cache block, or one whose length is no multiple of
+    ``_BAND_ALIGN``, is one block on the calling thread. Otherwise the
+    block count is rounded up to a multiple of the worker count and the
+    blocks get equal widths, rounded up to ``_BAND_ALIGN`` columns.
+    """
+    cache = _block_width(c, o, itemsize)
+    if n % _BAND_ALIGN or n <= cache:
+        return n, 1
+    workers = _workers()
+    count = -(-n // cache)
+    count = -(-count // workers) * workers
+    return -(-n // (count * _BAND_ALIGN)) * _BAND_ALIGN, workers
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's thread pool, created on first use; it starts threads only as runs need them."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="anchorkit-conv")
+        return _pool
+
+
+def _drop_pool() -> None:
+    # A forked child has none of its parent's threads, and a pool whose
+    # threads are gone never runs what it is given: the child's first
+    # parallel conv builds a new one.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _split(fn, parts) -> None:
+    """Run ``fn(part)`` for every part: the first on the calling thread, the others on the pool."""
+    pool = _executor()
+    futures = [pool.submit(fn, part) for part in parts[1:]]
+    try:
+        fn(parts[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _fill_planes(planes: np.ndarray, x: np.ndarray, s: int, hq: int, wq: int, kh: int, kw: int, plane_rows, chans: slice):
+    """Copy channels ``chans`` of ``x`` into the phase planes and zero their padding.
+
+    Plane rows outside ``plane_rows`` are never read, so they are left as they are.
+    """
+    _, h, wd = x.shape
+    planes[:, chans, hq * wq :] = 0
+    grid = _grid(planes, s, hq, wq)
+    for p, prows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
+        g = grid[p, chans]
+        g[:, : prows.start] = 0
+        g[:, prows.stop :] = 0
+        g[:, :, : cols.start] = 0
+        g[:, :, cols.stop :] = 0
+        for r0, r1 in plane_rows:
+            lo, hi = max(r0, prows.start), min(r1, prows.stop)
+            if lo < hi:
+                y = ys.start + (lo - prows.start) * s
+                g[:, lo:hi, cols] = x[chans, y : y + (hi - lo - 1) * s + 1 : s, xs]
+
+
+def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.ndarray, bias: np.ndarray, taps, out: np.ndarray, relu: bool):
+    """Write the conv into columns [lo, hi) of ``out`` for each (lo, hi) of ``blocks``.
+
+    ``weights`` is (O, kh*kw*C) for stacked taps, (kh*kw, O, C) for one
+    GEMM per tap. Each block's tap GEMMs are summed, its bias added and,
+    with ``relu``, its negatives zeroed while its slices are still in cache.
+    """
+    for lo, hi in blocks:
+        block = out[:, lo:hi]
+        if weights.ndim == 2:
+            stacked = scratch[: weights.shape[1] * (hi - lo)].reshape(len(taps), -1, hi - lo)
+            for t, (p, off) in enumerate(taps):
+                stacked[t] = planes[p, :, off + lo : off + hi]
+            np.matmul(weights, stacked.reshape(-1, hi - lo), out=block)
+        else:
+            part = scratch[: block.size].reshape(block.shape)
+            (p, off), rest = taps[0], taps[1:]
+            np.matmul(weights[0], planes[p, :, off + lo : off + hi], out=block)
+            for t, (p, off) in enumerate(rest, 1):
+                np.matmul(weights[t], planes[p, :, off + lo : off + hi], out=part)
+                block += part
+        block += bias
+        if relu:
+            np.maximum(block, 0.0, out=block)
+
+
+def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, spans, out: np.ndarray, relu: bool, take, width: int, workers: int):
+    """Write the conv into columns ``spans`` of ``out`` (O, n), in blocks of ``width`` columns.
+
+    Blocks are cut at multiples of ``width`` counted from grid column 0 and
+    split into contiguous runs, one per worker; the calling thread runs the
+    first. Every run has its own block scratch, taken here, so that only the
+    calling thread touches ``take``'s workspace.
     """
     o, c, kh, kw = w.shape
-    n = out.shape[1]
-    width = n if n % _BAND_ALIGN else min(_block_width(c, o, out.itemsize), n)
-    stack = c < _STACK_BELOW_CHANNELS
-    if stack:
-        w_mat = w.transpose(0, 2, 3, 1).reshape(o, -1)
-        scratch = take("scratch", (kh * kw * c * width,), planes.dtype)
+    if c < _STACK_BELOW_CHANNELS:
+        weights = w.transpose(0, 2, 3, 1).reshape(o, -1)
+        size, dtype = kh * kw * c * width, planes.dtype
     else:
-        w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-        scratch = take("scratch", (o * width,), out.dtype)
+        weights = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+        size, dtype = o * width, out.dtype
+    blocks = [(max(k0, c0), min(k0 + width, c1)) for c0, c1 in spans for k0 in range(c0 - c0 % width, c1, width)]
+    runs = min(workers, len(blocks))
     bias = b[:, None]
-    for c0, c1 in spans:
-        for k0 in range(c0 - c0 % width, c1, width):
-            lo, hi = max(k0, c0), min(k0 + width, c1)
-            block = out[:, lo:hi]
-            if stack:
-                stacked = scratch[: kh * kw * c * (hi - lo)].reshape(kh * kw, c, hi - lo)
-                for t, (p, off) in enumerate(taps):
-                    stacked[t] = planes[p, :, off + lo : off + hi]
-                np.matmul(w_mat, stacked.reshape(-1, hi - lo), out=block)
-            else:
-                part = scratch[: o * (hi - lo)].reshape(o, hi - lo)
-                (p, off), rest = taps[0], taps[1:]
-                np.matmul(w_taps[0], planes[p, :, off + lo : off + hi], out=block)
-                for t, (p, off) in enumerate(rest, 1):
-                    np.matmul(w_taps[t], planes[p, :, off + lo : off + hi], out=part)
-                    block += part
-            block += bias
-            if relu:
-                np.maximum(block, 0.0, out=block)
+    if runs <= 1:
+        _run_blocks(blocks, take("scratch", (size,), dtype), planes, weights, bias, taps, out, relu)
+        return
+    scratch = [take(f"scratch{k}" if k else "scratch", (size,), dtype) for k in range(runs)]
+    m = len(blocks)
+    _split(
+        lambda k: _run_blocks(blocks[k * m // runs : (k + 1) * m // runs], scratch[k], planes, weights, bias, taps, out, relu),
+        range(runs),
+    )
 
 
 def conv2d(
@@ -251,8 +383,10 @@ def conv2d(
 
     The grid is computed in cache-sized column blocks, and each block's
     bias add and, with ``relu=True``, its ReLU run while the block is in
-    cache (see the module docstring). The cache then records the mask
-    ``output > 0`` for :func:`conv2d_backward`.
+    cache (see the module docstring). A grid of several blocks, and its
+    phase-plane fill, are split across one worker thread per usable core;
+    the output's bits do not depend on the split. The cache then records
+    the mask ``output > 0`` for :func:`conv2d_backward`.
 
     ``rows``, a sorted list of disjoint half-open output-row intervals
     ``(lo, hi)``, asks for those rows only. Their values are bit-identical
@@ -275,6 +409,8 @@ def conv2d(
     s = stride
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
     n = h_out * wq
+    dtype = np.result_type(x, w)
+    width, workers = _block_plan(n, c, o, dtype.itemsize)
     spans = None if rows is None else _column_spans(rows, wq, n)
     # plane rows the computed columns read: a band [c0, c1) reaches up to
     # the furthest tap's offset past c1 - 1
@@ -283,23 +419,15 @@ def conv2d(
         (c0 // wq, min(hq, (c1 - 1 + reach) // wq + 1)) for c0, c1 in spans
     ]
     planes = take("planes", (s * s, c, hq * wq + (kw - 1) // s), x.dtype)
-    planes[:, :, hq * wq :] = 0
-    grid = _grid(planes, s, hq, wq)
-    for p, prows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):
-        # zero the padding around the pixels; rows outside plane_rows are never read
-        g = grid[p]
-        g[:, : prows.start] = 0
-        g[:, prows.stop :] = 0
-        g[:, :, : cols.start] = 0
-        g[:, :, cols.stop :] = 0
-        for r0, r1 in plane_rows:
-            lo, hi = max(r0, prows.start), min(r1, prows.stop)
-            if lo < hi:
-                y = ys.start + (lo - prows.start) * s
-                g[:, lo:hi, cols] = x[:, y : y + (hi - lo - 1) * s + 1 : s, xs]
+    fill = (planes, x, s, hq, wq, kh, kw, plane_rows)
+    if workers > 1 and c > 1:
+        parts = min(workers, c)
+        _split(lambda k: _fill_planes(*fill, slice(k * c // parts, (k + 1) * c // parts)), range(parts))
+    else:
+        _fill_planes(*fill, slice(None))
 
-    out = take(slot, (o, n), np.result_type(x, w))
-    _taps_product(planes, w, b, taps, [(0, n)] if spans is None else spans, out, relu, take)
+    out = take(slot, (o, n), dtype)
+    _taps_product(planes, w, b, taps, [(0, n)] if spans is None else spans, out, relu, take, width, workers)
     out = out.reshape(o, h_out, wq)[:, :, :w_out]
     if work is not None:
         return out, None
@@ -354,11 +482,16 @@ def upsample2_backward(grad_out: np.ndarray, h_in: int, w_in: int) -> np.ndarray
     return full.reshape(c, h_in, 2, w_in, 2).sum(axis=(2, 4))
 
 
-def fuse(current: np.ndarray, higher: np.ndarray) -> np.ndarray:
+def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Element-wise add of the 2x-upsampled deeper map into the current map.
 
     ``higher`` must be the ceil-half spatial size of ``current`` with the
-    same channel count (project channels first).
+    same channel count (project channels first). Each of the four 2x2
+    phases of the result, ``[:, a::2, b::2]``, is a strided view that gets
+    ``higher`` (cropped to it) added, so no upsampled map is built; every
+    element is the same single addition as ``current + upsample2(higher)``.
+    ``out`` (which may be ``current`` itself) receives the result; by
+    default it is a new array.
     """
     if current.shape[0] != higher.shape[0]:
         raise ValueError(
@@ -370,7 +503,13 @@ def fuse(current: np.ndarray, higher: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"fuse: higher map {higher.shape[1:]} is not ceil-half of current {current.shape[1:]}"
         )
-    return current + upsample2(higher, h, w)
+    if out is None:
+        out = np.empty(current.shape, np.result_type(current, higher))
+    for a in range(2):
+        for b in range(2):
+            dst = out[:, a::2, b::2]
+            np.add(current[:, a::2, b::2], higher[:, : dst.shape[1], : dst.shape[2]], out=dst)
+    return out
 
 
 def fuse_backward(grad_out: np.ndarray, higher_shape: tuple[int, int, int]):

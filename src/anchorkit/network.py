@@ -401,10 +401,11 @@ def forward_detect(
     proj_shapes = [z.shape for z in feats]
 
     # One-hop fusion: each tap except the deepest absorbs its successor's
-    # projection, which is not yet fused when taken in ascending order
+    # projection, which is not yet fused when taken in ascending order.
+    # Without a backward, the sum goes into the projection's own buffer.
     if cfg.fusion:
         for ti in range(n_taps - 1):
-            feats[ti] = fuse(feats[ti], feats[ti + 1])
+            feats[ti] = fuse(feats[ti], feats[ti + 1], out=None if want_grad else feats[ti])
 
     # Detection heads, per tap: classification, the gate, then regression
     head_backs = []

@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -206,8 +211,9 @@ class TestColumnBlocks:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_block_edges(self, data):
-        # _BLOCK_BYTES is shrunk so that blocks are 16-64 columns wide and
-        # the grid spans at least 3 of them; the blocked runs allocate NaN.
+        # _BLOCK_BYTES is shrunk so that cache blocks are 16-64 columns wide
+        # and the grid spans at least 3 of them; the blocked runs allocate
+        # NaN. At 1, 2 and 3 workers every output equals the unblocked one.
         c = data.draw(st.sampled_from([3, 17, 64]), "channels")
         o = data.draw(st.sampled_from([2, 4, 64]), "filters")
         stride = data.draw(st.sampled_from([1, 2]), "stride")
@@ -228,9 +234,6 @@ class TestColumnBlocks:
         w = rng.normal(size=(o, c, 3, 3))
         b = rng.normal(size=o)
         x32, w32, b32 = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
-        # a block edge inside the grid, and the output rows around it
-        edge = width * data.draw(st.integers(1, (n - 1) // width), "edge")
-        rows = [((edge - 1) // wq, edge // wq + 1)]
 
         def run(x, w, b, **kw):
             return conv2d(x, w, b, stride=stride, **kw)[0]
@@ -246,22 +249,103 @@ class TestColumnBlocks:
                 oc = data.draw(st.integers(0, o - 1), "checked channel")
                 want = conv2d_oracle(x, w[oc : oc + 1], b[oc : oc + 1], stride)
                 np.testing.assert_allclose(run(x, w, b)[oc : oc + 1], want, atol=1e-12)
-            full = run(x32, w32, b32)
-            fused, cache = conv2d(x32, w32, b32, stride=stride, relu=True)
-            grads = conv2d_backward(g, cache)
-            banded = run(x32, w32, b32, rows=rows)
-            sizes = {"planes": stride**2 * c * (hq * wq + 1), "scratch": 9 * c * n + o * n, "out": o * n}
-            work = poisoned_workspace(sizes)
-            in_work = run(x32, w32, b32, relu=True, work=work).copy()  # the next call takes "out" again
-            banded_in_work = run(x32, w32, b32, rows=rows, work=work)
-        np.testing.assert_array_equal(full, unblocked)
-        np.testing.assert_array_equal(fused, np.maximum(full, 0.0))
-        np.testing.assert_array_equal(in_work, fused)
-        for got, want in zip(grads, want_grads):
-            np.testing.assert_array_equal(got, want)
-        for lo, hi in rows:
-            np.testing.assert_array_equal(banded[:, lo:hi], full[:, lo:hi])
-            np.testing.assert_array_equal(banded_in_work[:, lo:hi], full[:, lo:hi])
+            for workers in (1, 2, 3):
+                with mock.patch.object(layers, "_workers", lambda: workers), \
+                        mock.patch.object(layers, "_split", wraps=layers._split) as split:
+                    block, _ = layers._block_plan(n, c, o, 4)
+                    # a block edge inside the grid, and the output rows around it
+                    step = block if block < n else width
+                    edge = step * data.draw(st.integers(1, (n - 1) // step), f"edge at {workers} workers")
+                    rows = [((edge - 1) // wq, edge // wq + 1)]
+                    full = run(x32, w32, b32)
+                    assert split.called == (workers > 1 and n % 16 == 0)
+                    fused, cache = conv2d(x32, w32, b32, stride=stride, relu=True)
+                    grads = conv2d_backward(g, cache)
+                    banded = run(x32, w32, b32, rows=rows)
+                    scratch = 9 * c * n + o * n
+                    sizes = {"planes": stride**2 * c * (hq * wq + 1), "scratch": scratch,
+                             "scratch1": scratch, "scratch2": scratch, "out": o * n}
+                    work = poisoned_workspace(sizes)
+                    in_work = run(x32, w32, b32, relu=True, work=work).copy()  # the next call takes "out" again
+                    banded_in_work = run(x32, w32, b32, rows=rows, work=work)
+                np.testing.assert_array_equal(full, unblocked)
+                np.testing.assert_array_equal(fused, np.maximum(full, 0.0))
+                np.testing.assert_array_equal(in_work, fused)
+                for got, want in zip(grads, want_grads):
+                    np.testing.assert_array_equal(got, want)
+                for lo, hi in rows:
+                    np.testing.assert_array_equal(banded[:, lo:hi], full[:, lo:hi])
+                    np.testing.assert_array_equal(banded_in_work[:, lo:hi], full[:, lo:hi])
+
+    def test_block_plan(self):
+        # float32 64 -> 64 convs: 1,360-column cache blocks become equal
+        # widths, rounded up to 16, in a multiple of the worker count
+        with mock.patch.object(layers, "_workers", lambda: 2):
+            assert layers._block_plan(160 * 162, 64, 64, 4) == (1296, 2)  # 20 blocks
+            assert layers._block_plan(80 * 82, 64, 64, 4) == (1104, 2)  # 6 blocks, not 5
+            assert layers._block_plan(40 * 42, 64, 64, 4) == (848, 2)  # 848 + 832, not 1,360 + 320
+            assert layers._block_plan(1360, 64, 64, 4) == (1360, 1)  # one block, inline
+            assert layers._block_plan(20 * 22, 64, 64, 4) == (440, 1)
+        with mock.patch.object(layers, "_workers", lambda: 1):
+            assert layers._block_plan(80 * 82, 64, 64, 4) == (1312, 1)
+        with mock.patch.object(layers, "_workers", lambda: 3):
+            assert layers._block_plan(80 * 82, 64, 64, 4) == (1104, 3)
+
+    def test_more_workers_than_cores(self):
+        # More workers than usable cores and a GIL switch every microsecond:
+        # a block written twice or not at all would change the output.
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(64, 48, 48)).astype(np.float32)
+        w = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
+        b = rng.normal(size=64).astype(np.float32)
+        with mock.patch.object(layers, "_workers", lambda: 1):
+            want, _ = conv2d(x, w, b, relu=True)
+        workers = min(2 * layers._workers() + 1, 8)
+        got = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(layers, "_workers", lambda: workers):
+                thread = threading.Thread(target=lambda: got.extend(conv2d(x, w, b, relu=True)[0] for _ in range(5)))
+                thread.start()
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not thread.is_alive()
+        assert len(got) == 5
+        for out in got:
+            np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_builds_its_own_pool(self):
+        # The parent's pool threads do not exist in a forked child; a conv
+        # there must build a new pool rather than wait on the old one.
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(64, 80, 80)).astype(np.float32)
+        w = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
+        b = np.zeros(64, dtype=np.float32)
+        with mock.patch.object(layers, "_workers", lambda: 2):
+            want, _ = conv2d(x, w, b, relu=True)
+            assert layers._pool is not None
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    got, _ = conv2d(x, w, b, relu=True)
+                    status = 0 if np.array_equal(got, want) else 2
+                finally:
+                    os._exit(status)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's conv did not finish within 30 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_block_width(self):
         # 1 MiB of float32 over C + 2 O rows, rounded down to 16 columns
@@ -297,6 +381,20 @@ class TestUpsampleFuse:
         rng = np.random.default_rng(1)
         cur = rng.normal(size=(2, 4, 4))
         np.testing.assert_allclose(fuse(cur, np.zeros((2, 2, 2))), cur)
+
+    @pytest.mark.parametrize("h, w", [(4, 4), (5, 3), (3, 5), (1, 1), (7, 8)])
+    def test_fuse_bits_and_out(self, h, w):
+        # the same single addition as current + upsample2(higher), into a new
+        # array by default (current is left as it was) or into ``out``
+        rng = np.random.default_rng(h * 10 + w)
+        cur = rng.normal(size=(3, h, w)).astype(np.float32)
+        hi = rng.normal(size=(3, -(-h // 2), -(-w // 2))).astype(np.float32)
+        want = cur + upsample2(hi, h, w)
+        kept = cur.copy()
+        np.testing.assert_array_equal(fuse(cur, hi), want)
+        np.testing.assert_array_equal(cur, kept)
+        assert fuse(cur, hi, out=cur) is cur
+        np.testing.assert_array_equal(cur, want)
 
     def test_fuse_value_blocks(self):
         cur = np.zeros((1, 4, 4))

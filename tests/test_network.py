@@ -1,9 +1,15 @@
+import ctypes
+import contextlib
+import glob
 import io
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from anchorkit import layers
 from anchorkit.decode import DecodeConfig, decode_baseline, decode_improved
 from anchorkit.data import SynthConfig, synth_dataset
 from anchorkit.geometry import AnchorConfig, generate_anchors, receptive_field
@@ -54,6 +60,27 @@ def net640():
     images, _ = synth_dataset(SynthConfig(image_size=640), 3, seed=5)
     make_sparse(net, images[0], 0.005)
     return net, images
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """Run the body with numpy's OpenBLAS at ``n`` threads, restoring the count after."""
+    libs = glob.glob(str(Path(np.__file__).resolve().parent.parent / "numpy.libs" / "*openblas*"))
+    if not libs:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    lib = ctypes.CDLL(libs[0])
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        pytest.skip("this OpenBLAS has no thread-count functions")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    old = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def assert_gated_matches_dense(gated, dense, gate):
@@ -229,6 +256,37 @@ class TestGatedForward:
             assert regressed[: 160 * 160].mean() < 0.5  # tap 0 really ran in bands
             got = detect_images(net, {"x": img}, decode_cfg)["x"]
             assert got and got == decode_baseline(dense, grid, decode_cfg).detections
+
+
+class TestConvWorkers:
+    """Multi-block convs run on worker threads; the bits must not depend on how many."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_640_bits_across_workers_and_blas_threads(self, net640, threads):
+        net, images = net640
+        img = images[2]
+        with mock.patch.object(layers, "_workers", lambda: 1):
+            want = forward_detect(net, img)  # the reference: one worker at default BLAS threads
+        with blas_threads(threads):
+            for workers in (1, 2):
+                with mock.patch.object(layers, "_workers", lambda: workers), \
+                        mock.patch.object(layers, "_split", wraps=layers._split) as split:
+                    dense = forward_detect(net, img)
+                    assert_gated_matches_dense(forward_detect(net, img, gate=GATE), dense, GATE)
+                assert split.called == (workers > 1)
+                np.testing.assert_array_equal(dense.logits, want.logits)
+                np.testing.assert_array_equal(dense.offsets, want.offsets)
+
+    def test_toy_forward_submits_nothing(self):
+        # every toy conv is one block, which runs inline on the calling thread
+        net = toy_net(seed=6)
+        img = np.random.default_rng(3).random((1, 64, 64), dtype=np.float32)
+        with mock.patch.object(layers, "_workers", lambda: 3), \
+                mock.patch.object(layers, "_executor", side_effect=AssertionError("a toy conv used the pool")):
+            forward_detect(net, img)
+            forward_detect(net, img, gate=GATE)
+            raw, backward = forward_detect(net, img, want_grad=True)
+            backward(np.ones_like(raw.logits), np.ones_like(raw.offsets))
 
 
 class TestInferenceForward:
