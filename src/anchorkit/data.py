@@ -82,19 +82,24 @@ def parse_widerface_annotations(lines: Iterable[str] | str) -> list[AnnotationRe
     """Parse the ground-truth text format into records.
 
     Zero-count images may carry a single all-zero placeholder box line,
-    which is consumed and skipped. Malformed counts or non-numeric box
-    fields raise with the offending line number.
+    which is consumed and skipped. Malformed counts, non-numeric box
+    fields and an image name that repeats an earlier one raise with the
+    offending line number.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
     rows = [line.rstrip("\n") for line in lines]
     records: list[AnnotationRecord] = []
+    seen: dict[str, int] = {}
     i = 0
     while i < len(rows):
         name = rows[i].strip()
         if not name:
             i += 1
             continue
+        if name in seen:
+            raise ValueError(f"line {i + 1}: image {name!r} repeats line {seen[name]}")
+        seen[name] = i + 1
         if i + 1 >= len(rows):
             raise ValueError(f"line {i + 2}: missing box count after {name!r}")
         try:

@@ -37,7 +37,24 @@ tap's partial sum costs more memory traffic than copying the thin input
 about 90 ms per image slower). With ``relu=True`` the epilogue of each
 block, the bias add and ReLU, runs while the block is still in cache, so
 a ReLU costs no pass of its own over the map; it is the only ReLU the
-network runs, in training too. A sweep of 256 KiB to 4 MiB on the
+network runs, in training too.
+
+A block that is not contiguous in the output is summed in a contiguous
+(O, width) tile taken from its run's scratch: the first tap's GEMM
+goes into the tile, each later tap's into a partial sum that is then
+added to the tile, the bias is added there, and the tile is written to
+the output once, through ReLU or as a plain copy. The output's rows lie
+n * itemsize bytes apart (103,680 B on a 160x160 map), and an add over a
+block of such rows cost about 4x the same add in a contiguous, cached
+tile: 56 against 15 us per 64 x 1,296 float32 add (2-core Xeon, median
+of 10 rotated placements). That is the blocking argument of Goto and van
+de Geijn (2008). The GEMMs, the order of the adds and the bias add are
+the same, so the bits are too. A block that is the whole grid of a
+contiguous output sums in the output: every toy conv in training, and
+every toy conv but the head trunk convs in inference, whose output is a
+chained plane (below).
+
+A sweep of 256 KiB to 4 MiB on the
 640x640 net (2-core AVX-512 Xeon, 1 BLAS thread, in-process rotation)
 gave median sparse-detection image times of 340/317/307/305/300 ms and
 dense ones of 523/494/478/467/477 ms: 256 KiB is slower, 1-4 MiB are
@@ -102,7 +119,20 @@ as does a request covering the whole grid.
 
 An inference forward passes a :class:`Workspace`: conv2d then takes its
 phase planes, block scratch and output from the workspace's named
-buffers, which the next image reuses, and returns no cache. Without the
+buffers, which the next image reuses, and returns no cache.
+
+In a chain of 3x3 stride-1 convs on one map (the head branches), an
+inference conv writes its grid straight into the phase plane its
+successor reads, and the successor fills no planes. That plane holds
+pixel (y, x) at flat offset (y + 1) * wq + x + 1, which is grid column
+y * wq + x shifted by wq + 1, so the grid goes in at offset wq + 1. Three
+zeroings after the write make it the plane a fill would have made: the
+top frame (offsets below wq + 1), each grid row's two wrapped columns
+(they land on the right pad of their row and the left pad of the next),
+and the bottom row with the tail. Everything else is grid column for
+grid column the values the successor's fill would have copied, so its
+bits are the same. A banded producer writes only its bands, and the
+successor's bands read only those, as with a fill. Without the
 reuse, each 640x640 image mapped and faulted its largest maps afresh
 (about 6,700 minor page faults and 25 ms of system time per sparse
 image, against 80-240 and about 1 ms for the unblocked convs); with it,
@@ -127,7 +157,6 @@ __all__ = [
     "Workspace",
     "conv2d",
     "conv2d_backward",
-    "upsample2",
     "upsample2_backward",
     "fuse",
     "fuse_backward",
@@ -315,26 +344,38 @@ def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.nda
     """Write the conv into columns [lo, hi) of ``out`` for each (lo, hi) of ``blocks``.
 
     ``weights`` is (O, kh*kw*C) for stacked taps, (kh*kw, O, C) for one
-    GEMM per tap. Each block's tap GEMMs are summed, its bias added and,
-    with ``relu``, its negatives zeroed while its slices are still in cache.
+    GEMM per tap. A block that is not contiguous in ``out`` is summed in a
+    contiguous (O, hi - lo) tile at the head of ``scratch``: the first tap's
+    GEMM goes into the tile, every later one into a partial sum that is then
+    added to it, the bias is added there too, and the tile is written to
+    ``out`` once, through ReLU with ``relu``. A contiguous block (the whole
+    grid of an ``out`` that is itself contiguous) sums in ``out``.
     """
+    o = out.shape[0]
     for lo, hi in blocks:
+        m = hi - lo
         block = out[:, lo:hi]
+        if block.flags.c_contiguous:
+            tile, rest = block, scratch
+        else:
+            tile, rest = scratch[: o * m].reshape(o, m), scratch[o * m :]
         if weights.ndim == 2:
-            stacked = scratch[: weights.shape[1] * (hi - lo)].reshape(len(taps), -1, hi - lo)
+            stacked = rest[: weights.shape[1] * m].reshape(len(taps), -1, m)
             for t, (p, off) in enumerate(taps):
                 stacked[t] = planes[p, :, off + lo : off + hi]
-            np.matmul(weights, stacked.reshape(-1, hi - lo), out=block)
+            np.matmul(weights, stacked.reshape(-1, m), out=tile)
         else:
-            part = scratch[: block.size].reshape(block.shape)
-            (p, off), rest = taps[0], taps[1:]
-            np.matmul(weights[0], planes[p, :, off + lo : off + hi], out=block)
-            for t, (p, off) in enumerate(rest, 1):
+            part = rest[: o * m].reshape(o, m)
+            (p, off), later = taps[0], taps[1:]
+            np.matmul(weights[0], planes[p, :, off + lo : off + hi], out=tile)
+            for t, (p, off) in enumerate(later, 1):
                 np.matmul(weights[t], planes[p, :, off + lo : off + hi], out=part)
-                block += part
-        block += bias
+                tile += part
+        tile += bias
         if relu:
-            np.maximum(block, 0.0, out=block)
+            np.maximum(tile, 0.0, out=block)
+        elif tile is not block:
+            block[...] = tile
 
 
 def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, spans, out: np.ndarray, relu: bool, take, width: int, workers: int):
@@ -343,22 +384,26 @@ def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, spans,
     Blocks are cut at multiples of ``width`` counted from grid column 0 and
     split into contiguous runs, one per worker; the calling thread runs the
     first. Every run has its own block scratch, taken here, so that only the
-    calling thread touches ``take``'s workspace.
+    calling thread touches ``take``'s workspace. A run's scratch holds a
+    block's (O, width) tile, unless the grid is one block contiguous in
+    ``out``, and after it the stacked taps or the partial sum.
     """
     o, c, kh, kw = w.shape
+    blocks = [(max(k0, c0), min(k0 + width, c1)) for c0, c1 in spans for k0 in range(c0 - c0 % width, c1, width)]
+    lone = len(blocks) == 1 and out[:, slice(*blocks[0])].flags.c_contiguous
+    size = 0 if lone else o * width
     if c < _STACK_BELOW_CHANNELS:
         weights = w.transpose(0, 2, 3, 1).reshape(o, -1)
-        size, dtype = kh * kw * c * width, planes.dtype
+        size += kh * kw * c * width
     else:
         weights = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-        size, dtype = o * width, out.dtype
-    blocks = [(max(k0, c0), min(k0 + width, c1)) for c0, c1 in spans for k0 in range(c0 - c0 % width, c1, width)]
+        size += o * width
     runs = min(workers, len(blocks))
     bias = b[:, None]
     if runs <= 1:
-        _run_blocks(blocks, take("scratch", (size,), dtype), planes, weights, bias, taps, out, relu)
+        _run_blocks(blocks, take("scratch", (size,), out.dtype), planes, weights, bias, taps, out, relu)
         return
-    scratch = [take(f"scratch{k}" if k else "scratch", (size,), dtype) for k in range(runs)]
+    scratch = [take(f"scratch{k}" if k else "scratch", (size,), out.dtype) for k in range(runs)]
     m = len(blocks)
     _split(
         lambda k: _run_blocks(blocks[k * m // runs : (k + 1) * m // runs], scratch[k], planes, weights, bias, taps, out, relu),
@@ -375,17 +420,20 @@ def conv2d(
     relu: bool = False,
     work: Workspace | None = None,
     slot: str = "out",
+    framed: str | None = None,
+    frame: bool = False,
 ):
     """Same-padded convolution, optionally followed by ReLU; returns (output, cache).
 
     x: (C, H, W); w: (O, C, kh, kw) with odd kernels; b: (O,).
     Output: (O, ceil(H/stride), ceil(W/stride)).
 
-    The grid is computed in cache-sized column blocks, and each block's
-    bias add and, with ``relu=True``, its ReLU run while the block is in
-    cache (see the module docstring). A grid of several blocks, and its
-    phase-plane fill, are split across one worker thread per usable core;
-    the output's bits do not depend on the split. The cache then records
+    The grid is computed in cache-sized column blocks, each summed in a
+    contiguous tile whose bias add and, with ``relu=True``, ReLU run while
+    it is in cache, before it is written out once (see the module
+    docstring). A grid of several blocks, and its phase-plane fill, are
+    split across one worker thread per usable core; the output's bits do
+    not depend on the split. The cache then records
     the mask ``output > 0`` for :func:`conv2d_backward`.
 
     ``rows``, a sorted list of disjoint half-open output-row intervals
@@ -398,6 +446,14 @@ def conv2d(
     ``slot`` is taken again. ``x`` may lie in ``slot``: it is copied into
     the phase planes before the output is written. No cache is made: the
     second value is None.
+
+    Chained planes (with ``work``, 3x3 stride-1 convs only): ``frame=True``
+    writes the output grid into buffer ``slot`` at offset wq + 1 of a
+    zero-framed phase plane, the one a 3x3 stride-1 conv on the output
+    reads, and zeroes the frame and the grid's wrapped columns there; the
+    returned map is a view into it. ``framed`` names the buffer such a conv
+    wrote ``x`` into: the fill is skipped and the plane read in place. A
+    conv's ``framed`` and ``slot`` must differ.
     """
     c, h, wd = x.shape
     o, cw, kh, kw = w.shape
@@ -405,6 +461,10 @@ def conv2d(
         raise ValueError(f"conv2d: input has {c} channels, weights expect {cw}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d: kernels must be odd, got {kh}x{kw}")
+    if (frame or framed is not None) and (work is None or stride != 1 or (kh, kw) != (3, 3)):
+        raise ValueError("conv2d: chained planes need a Workspace and a 3x3 stride-1 conv")
+    if framed is not None and framed == slot:
+        raise ValueError(f"conv2d: buffer {slot!r} cannot hold both the input plane and the output")
     take = _empty if work is None else work.take
     s = stride
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
@@ -418,17 +478,35 @@ def conv2d(
     plane_rows = [(0, hq)] if spans is None else [
         (c0 // wq, min(hq, (c1 - 1 + reach) // wq + 1)) for c0, c1 in spans
     ]
-    planes = take("planes", (s * s, c, hq * wq + (kw - 1) // s), x.dtype)
-    fill = (planes, x, s, hq, wq, kh, kw, plane_rows)
-    if workers > 1 and c > 1:
-        parts = min(workers, c)
-        _split(lambda k: _fill_planes(*fill, slice(k * c // parts, (k + 1) * c // parts)), range(parts))
+    plane_shape = (s * s, c, hq * wq + (kw - 1) // s)
+    if framed is not None:
+        planes = take(framed, plane_shape, x.dtype)
     else:
-        _fill_planes(*fill, slice(None))
+        planes = take("planes", plane_shape, x.dtype)
+        fill = (planes, x, s, hq, wq, kh, kw, plane_rows)
+        if workers > 1 and c > 1:
+            parts = min(workers, c)
+            _split(lambda k: _fill_planes(*fill, slice(k * c // parts, (k + 1) * c // parts)), range(parts))
+        else:
+            _fill_planes(*fill, slice(None))
 
-    out = take(slot, (o, n), dtype)
+    if frame:
+        # the same-size successor's plane: its pixel (y, x) sits at
+        # (y + 1) * wq + x + 1, which is grid column y * wq + x plus wq + 1
+        plane = take(slot, (1, o, hq * wq + 2), dtype)[0]
+        out = plane[:, wq + 1 : wq + 1 + n]
+    else:
+        out = take(slot, (o, n), dtype)
     _taps_product(planes, w, b, taps, [(0, n)] if spans is None else spans, out, relu, take, width, workers)
-    out = out.reshape(o, h_out, wq)[:, :, :w_out]
+    out = out.reshape(o, h_out, wq)
+    if frame:
+        # the top frame, then each row's two wrapped columns, which land on
+        # the right pad of its row and the left pad of the next, and the
+        # bottom row with the tail
+        plane[:, : wq + 1] = 0
+        out[:, :, w_out:] = 0
+        plane[:, wq + 1 + n :] = 0
+    out = out[:, :, :w_out]
     if work is not None:
         return out, None
     return out, (x.shape, w, planes, stride, out > 0.0 if relu else None)
@@ -468,47 +546,59 @@ def conv2d_backward(grad_out: np.ndarray, cache, input_grad: bool = True):
     return grad_x, grad_w, grad_b
 
 
-def upsample2(x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
-    """Nearest-neighbor 2x upsample of (C, H, W), cropped to (h_out, w_out)."""
-    up = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
-    return up[:, :h_out, :w_out]
-
-
 def upsample2_backward(grad_out: np.ndarray, h_in: int, w_in: int) -> np.ndarray:
-    """Adjoint of upsample2: sum each 2x2 window back onto the source cell."""
+    """Adjoint of the nearest-neighbor 2x upsample: sum each 2x2 window back onto the source cell."""
     c, h_out, w_out = grad_out.shape
     full = np.zeros((c, 2 * h_in, 2 * w_in), dtype=grad_out.dtype)
     full[:, :h_out, :w_out] = grad_out
     return full.reshape(c, h_in, 2, w_in, 2).sum(axis=(2, 4))
 
 
-def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None, work: Workspace | None = None) -> np.ndarray:
     """Element-wise add of the 2x-upsampled deeper map into the current map.
 
     ``higher`` must be the ceil-half spatial size of ``current`` with the
-    same channel count (project channels first). Each of the four 2x2
-    phases of the result, ``[:, a::2, b::2]``, is a strided view that gets
-    ``higher`` (cropped to it) added, so no upsampled map is built; every
-    element is the same single addition as ``current + upsample2(higher)``.
-    ``out`` (which may be ``current`` itself) receives the result; by
-    default it is a new array.
+    same channel count (project channels first). ``higher`` is copied once
+    with every column doubled, and that copy is added to the even and to
+    the odd rows of ``current``: two adds over whole rows rather than four
+    over every other element. No upsampled map is built, and every element
+    is the same single addition as ``current + upsample(higher)``. A map
+    larger than one cache block is split by channels across the conv
+    workers. In a sparse 640x640 forward (2 workers, 1 BLAS thread) the
+    fuses took 3.4 ms per image, against 7.7 ms for four strided phase
+    adds, 4.6 ms for those split by channels and 5.2 ms for the doubled
+    copy unsplit. ``out`` (which may be ``current`` itself) receives the
+    result; by default it is a new array. ``work`` (inference) holds the
+    doubled copy in its buffer ``fuse``.
     """
     if current.shape[0] != higher.shape[0]:
         raise ValueError(
             f"fuse: channel mismatch {current.shape[0]} vs {higher.shape[0]}; "
             "run the 1x1 projection first"
         )
-    _, h, w = current.shape
-    if higher.shape[1] != -(-h // 2) or higher.shape[2] != -(-w // 2):
+    c, h, w = current.shape
+    _, hh, wh = higher.shape
+    if hh != -(-h // 2) or wh != -(-w // 2):
         raise ValueError(
             f"fuse: higher map {higher.shape[1:]} is not ceil-half of current {current.shape[1:]}"
         )
     if out is None:
         out = np.empty(current.shape, np.result_type(current, higher))
-    for a in range(2):
-        for b in range(2):
-            dst = out[:, a::2, b::2]
-            np.add(current[:, a::2, b::2], higher[:, : dst.shape[1], : dst.shape[2]], out=dst)
+    wide = (_empty if work is None else work.take)("fuse", (c, hh, 2 * wh), higher.dtype)
+
+    def add(chans: slice) -> None:
+        doubled = wide[chans]
+        doubled[:, :, 0::2] = higher[chans]
+        doubled[:, :, 1::2] = higher[chans]
+        for a in range(2):
+            dst = out[chans, a::2]
+            np.add(current[chans, a::2], doubled[:, : dst.shape[1], :w], out=dst)
+
+    parts = min(_workers(), c)
+    if parts > 1 and out.nbytes > _BLOCK_BYTES:
+        _split(lambda k: add(slice(k * c // parts, (k + 1) * c // parts)), range(parts))
+    else:
+        add(slice(None))
     return out
 
 

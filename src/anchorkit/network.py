@@ -257,21 +257,29 @@ def _branch(
     """One head branch: trunk convs with ReLU (split heads only), then the terminal conv.
 
     Returns ``(map, caches)``; with ``work`` (inference) the convs run in
-    its buffers and their caches are None. ``rows`` (sorted map rows)
-    restricts the branch to what those rows of its output read: each conv
-    computes them widened by the (k - 1) // 2 halo of every conv after it.
-    The map's other rows are then not defined.
+    its buffers and their caches are None, and each trunk conv writes its
+    output straight into the zero-framed phase plane its successor reads
+    (``conv2d``'s ``frame``), alternating between the buffers ``chain0``
+    and ``chain1``, so that the successor fills no planes. ``rows`` (sorted
+    map rows) restricts the branch to what those rows of its output read:
+    each conv computes them widened by the (k - 1) // 2 halo of every conv
+    after it. The map's other rows are then not defined.
     """
     names = [f"{prefix}.{branch}{d}" for d in range(head_depth if split_heads else 0)]
     names.append(f"{prefix}.{branch}_out")
     caches = []
+    framed = None
     for i, name in enumerate(names):
         spans = None
         if rows is not None:
             halo = sum((params[f"{later}.w"].shape[2] - 1) // 2 for later in names[i + 1 :])
             spans = _row_spans(rows, halo, x.shape[1])
         w, b = params[f"{name}.w"], params[f"{name}.b"]
-        x, cc = conv2d(x, w, b, rows=spans, relu=i + 1 < len(names), work=work, slot=branch)
+        trunk = i + 1 < len(names)
+        frame = work is not None and trunk
+        slot = f"chain{i % 2}" if frame else branch
+        x, cc = conv2d(x, w, b, rows=spans, relu=trunk, work=work, slot=slot, framed=framed, frame=frame)
+        framed = slot if frame else None
         caches.append((name, cc))
     return x, caches
 
@@ -351,7 +359,7 @@ def forward_detect(
     caches and ReLU masks kept. Without ``want_grad``, every conv runs in
     ``net.work``'s buffers, which the next image reuses, and keeps nothing
     for a backward: a gated 640x640 forward on a net with empty buffers
-    peaks at about 61 MB of numpy memory (tracemalloc), against 177 MB when
+    peaks at about 59 MB of numpy memory (tracemalloc), against 177 MB when
     every conv's phase planes and ReLU mask were kept. Both paths compute
     the same bits.
 
@@ -402,10 +410,11 @@ def forward_detect(
 
     # One-hop fusion: each tap except the deepest absorbs its successor's
     # projection, which is not yet fused when taken in ascending order.
-    # Without a backward, the sum goes into the projection's own buffer.
+    # Without a backward, the sum goes into the projection's own buffer and
+    # the deeper map's column-doubled copy into a work buffer.
     if cfg.fusion:
         for ti in range(n_taps - 1):
-            feats[ti] = fuse(feats[ti], feats[ti + 1], out=None if want_grad else feats[ti])
+            feats[ti] = fuse(feats[ti], feats[ti + 1], out=None if want_grad else feats[ti], work=work)
 
     # Detection heads, per tap: classification, the gate, then regression
     head_backs = []

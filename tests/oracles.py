@@ -171,3 +171,9 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int) -> n
                             acc += w[oc, ic, i, j] * xp[ic, r * stride + i, col * stride + j]
                 out[oc, r, col] = acc
     return out
+
+
+def upsample2(x: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+    """Nearest-neighbor 2x upsample of (C, H, W), cropped to (h_out, w_out)."""
+    up = np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    return up[:, :h_out, :w_out]

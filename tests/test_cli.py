@@ -136,6 +136,25 @@ def test_eval_bad_detection_reports_line(tmp_path, capsys):
     assert err.startswith("error: line 3:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_repeated_annotation_image_reports_line(tmp_path, capsys, command):
+    ds = tmp_path / "val"
+    assert run(["synth", "--out", str(ds), "--n", "2", "--seed", "3"]) == 0
+    annotations = ds / "annotations.txt"
+    annotations.write_text(annotations.read_text() + "000000.pgm\n0\n")
+    dets = tmp_path / "dets.txt"
+    dets.write_text("000000.pgm\n0\n")
+    if command == "eval":
+        args = ["eval", "--detections", str(dets), "--annotations", str(annotations)]
+    else:
+        args = ["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--set", "train.epochs=1"]
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line ") and "image '000000.pgm' repeats line 1" in err
+    assert "Traceback" not in err
+
+
 def test_train_at_128(tmp_path):
     # augmentation takes its output size from the anchor config
     size = ["--set", "anchor.image_w=128", "--set", "anchor.image_h=128", "--set", "synth.image_size=128"]

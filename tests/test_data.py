@@ -48,6 +48,11 @@ class TestAnnotationParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_widerface_annotations("a.jpg\nnope\n")
 
+    def test_repeated_image_names_line(self):
+        text = "a.jpg\n1\n10 10 20 20 0 0 0 0 0 0\nb.jpg\n0\na.jpg\n0\n"
+        with pytest.raises(ValueError, match=r"^line 6: image 'a.jpg' repeats line 1$"):
+            parse_widerface_annotations(text)
+
     def test_attributes_preserved(self):
         records = parse_widerface_annotations("a.jpg\n1\n1 2 3 4 2 1 0 1 2 1\n")
         f = records[0].faces[0]

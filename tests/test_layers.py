@@ -18,11 +18,10 @@ from anchorkit.layers import (
     conv2d_backward,
     fuse,
     fuse_backward,
-    upsample2,
     upsample2_backward,
 )
 
-from oracles import conv2d_oracle
+from oracles import conv2d_oracle, upsample2
 
 
 class TestConv2d:
@@ -213,10 +212,14 @@ class TestColumnBlocks:
     def test_block_edges(self, data):
         # _BLOCK_BYTES is shrunk so that cache blocks are 16-64 columns wide
         # and the grid spans at least 3 of them; the blocked runs allocate
-        # NaN. At 1, 2 and 3 workers every output equals the unblocked one.
+        # NaN. At 1, 2 and 3 workers every output equals the unblocked one,
+        # with and without ReLU, full and banded, in a NaN-poisoned
+        # Workspace too, and a stride-1 output written as the framed plane
+        # of a successor conv gives that conv the bits of a filled plane.
         c = data.draw(st.sampled_from([3, 17, 64]), "channels")
         o = data.draw(st.sampled_from([2, 4, 64]), "filters")
         stride = data.draw(st.sampled_from([1, 2]), "stride")
+        relu = data.draw(st.booleans(), "relu")
         width = 16 * data.draw(st.integers(1, 4), "block width / 16")
         if data.draw(st.booleans(), "whole 16-column blocks"):
             wd = stride * 16 * data.draw(st.integers(1, 2)) - 2  # wq = 16 k
@@ -234,11 +237,16 @@ class TestColumnBlocks:
         w = rng.normal(size=(o, c, 3, 3))
         b = rng.normal(size=o)
         x32, w32, b32 = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+        # the successor of a chained plane: a 3x3 stride-1 conv on the output
+        w2 = rng.normal(size=(4, o, 3, 3)).astype(np.float32)
+        b2 = rng.normal(size=4).astype(np.float32)
 
         def run(x, w, b, **kw):
             return conv2d(x, w, b, stride=stride, **kw)[0]
 
         unblocked = run(x32, w32, b32)
+        act = np.maximum(unblocked, 0.0) if relu else unblocked
+        successor = conv2d(act, w2, b2)[0]
         g = rng.normal(size=unblocked.shape).astype(np.float32)
         want_grads = conv2d_backward(g, conv2d(x32, w32, b32, stride=stride, relu=True)[1])
         with mock.patch.object(layers, "_BLOCK_BYTES", width * 4 * (c + 2 * o)), \
@@ -261,21 +269,40 @@ class TestColumnBlocks:
                     assert split.called == (workers > 1 and n % 16 == 0)
                     fused, cache = conv2d(x32, w32, b32, stride=stride, relu=True)
                     grads = conv2d_backward(g, cache)
-                    banded = run(x32, w32, b32, rows=rows)
-                    scratch = 9 * c * n + o * n
-                    sizes = {"planes": stride**2 * c * (hq * wq + 1), "scratch": scratch,
-                             "scratch1": scratch, "scratch2": scratch, "out": o * n}
+                    banded = run(x32, w32, b32, rows=rows, relu=relu)
+                    scratch = 9 * (c + o + 4) * n  # covers the conv and its successor
+                    plane = o * (hq * wq + 2)  # a stride-1 output's framed plane
+                    sizes = {"planes": stride**2 * c * (hq * wq + 2 // stride), "scratch": scratch,
+                             "scratch1": scratch, "scratch2": scratch, "out": max(o, 4) * n,
+                             "chain0": plane, "chain1": plane}
                     work = poisoned_workspace(sizes)
-                    in_work = run(x32, w32, b32, relu=True, work=work).copy()  # the next call takes "out" again
-                    banded_in_work = run(x32, w32, b32, rows=rows, work=work)
+                    # copies: the next call takes "out" again
+                    in_work = run(x32, w32, b32, relu=relu, work=work).copy()
+                    banded_in_work = run(x32, w32, b32, rows=rows, relu=relu, work=work).copy()
+                    if stride == 1:
+                        # the successor's rows read one more row on each side
+                        wide = [(max(0, lo - 1), min(h_out, hi + 1)) for lo, hi in rows]
+                        framed, framed_band = (
+                            run(x32, w32, b32, rows=r, relu=relu, work=work, slot=slot, frame=True)
+                            for r, slot in ((None, "chain0"), (wide, "chain1"))
+                        )
+                        chained = conv2d(framed, w2, b2, work=work, framed="chain0")[0].copy()
+                        chained_band = conv2d(framed_band, w2, b2, rows=rows, work=work, framed="chain1")[0]
+                    # every buffer the convs took was a poisoned one, not regrown
+                    assert {k: v.size for k, v in work._buffers.items()} == sizes
                 np.testing.assert_array_equal(full, unblocked)
                 np.testing.assert_array_equal(fused, np.maximum(full, 0.0))
-                np.testing.assert_array_equal(in_work, fused)
+                np.testing.assert_array_equal(in_work, act)
                 for got, want in zip(grads, want_grads):
                     np.testing.assert_array_equal(got, want)
                 for lo, hi in rows:
-                    np.testing.assert_array_equal(banded[:, lo:hi], full[:, lo:hi])
-                    np.testing.assert_array_equal(banded_in_work[:, lo:hi], full[:, lo:hi])
+                    np.testing.assert_array_equal(banded[:, lo:hi], act[:, lo:hi])
+                    np.testing.assert_array_equal(banded_in_work[:, lo:hi], act[:, lo:hi])
+                if stride == 1:
+                    np.testing.assert_array_equal(framed, act)
+                    np.testing.assert_array_equal(chained, successor)
+                    for lo, hi in rows:
+                        np.testing.assert_array_equal(chained_band[:, lo:hi], successor[:, lo:hi])
 
     def test_block_plan(self):
         # float32 64 -> 64 convs: 1,360-column cache blocks become equal
@@ -298,23 +325,35 @@ class TestColumnBlocks:
         x = rng.normal(size=(64, 48, 48)).astype(np.float32)
         w = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
         b = rng.normal(size=64).astype(np.float32)
+        # a fuse over more than one cache block splits its channels too
+        cur = rng.normal(size=(64, 96, 96)).astype(np.float32)
+        hi = rng.normal(size=(64, 48, 48)).astype(np.float32)
         with mock.patch.object(layers, "_workers", lambda: 1):
             want, _ = conv2d(x, w, b, relu=True)
+            want_fused = fuse(cur, hi)
         workers = min(2 * layers._workers() + 1, 8)
-        got = []
+        got, fused = [], []
+
+        def work():
+            for _ in range(5):
+                got.append(conv2d(x, w, b, relu=True)[0])
+                fused.append(fuse(cur, hi))
+
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.object(layers, "_workers", lambda: workers):
-                thread = threading.Thread(target=lambda: got.extend(conv2d(x, w, b, relu=True)[0] for _ in range(5)))
+                thread = threading.Thread(target=work)
                 thread.start()
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(old)
         assert not thread.is_alive()
-        assert len(got) == 5
+        assert len(got) == len(fused) == 5
         for out in got:
             np.testing.assert_array_equal(out, want)
+        for out in fused:
+            np.testing.assert_array_equal(out, want_fused)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_builds_its_own_pool(self):
@@ -393,6 +432,15 @@ class TestUpsampleFuse:
         kept = cur.copy()
         np.testing.assert_array_equal(fuse(cur, hi), want)
         np.testing.assert_array_equal(cur, kept)
+        # split by channels across 1-3 workers (any map is over the block
+        # size here), with the doubled copy in a NaN-poisoned Workspace
+        for workers in (1, 2, 3):
+            with mock.patch.object(layers, "_workers", lambda: workers), \
+                    mock.patch.object(layers, "_BLOCK_BYTES", 0), \
+                    mock.patch.object(layers, "_split", wraps=layers._split) as split:
+                work = poisoned_workspace({"fuse": 3 * -(-h // 2) * 2 * -(-w // 2)})
+                np.testing.assert_array_equal(fuse(cur, hi, work=work), want)
+            assert split.called == (workers > 1)
         assert fuse(cur, hi, out=cur) is cur
         np.testing.assert_array_equal(cur, want)
 

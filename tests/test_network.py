@@ -315,6 +315,30 @@ class TestInferenceForward:
             np.testing.assert_array_equal(inference.logits, trained.logits)
             np.testing.assert_array_equal(inference.offsets, trained.offsets)
 
+    @pytest.mark.parametrize("scale", ["toy", "640"])
+    def test_poisoned_workspace_two_images(self, net640, scale):
+        # Every work buffer, the chained head planes among them, starts as
+        # NaN; then two different images run back to back, gated and dense.
+        # A frame or wrapped column left unzeroed, or one left from the
+        # image before, would show in the bits.
+        if scale == "toy":
+            net = toy_net(seed=4)
+            images, _ = synth_dataset(SynthConfig(), 3, seed=9)
+            make_sparse(net, images[0], 0.05)
+        else:
+            net, images = net640
+        fresh = Network(config=net.config, params=net.params, seed=net.seed)
+        forward_detect(fresh, images[0])  # sizes every buffer
+        assert {"chain0", "chain1", "fuse"} <= fresh.work._buffers.keys()
+        for buf in fresh.work._buffers.values():
+            buf[...] = np.nan
+        for img in images[1:3]:
+            trained, _ = forward_detect(fresh, img, want_grad=True)
+            assert_gated_matches_dense(forward_detect(fresh, img, gate=GATE), trained, GATE)
+            dense = forward_detect(fresh, img)
+            np.testing.assert_array_equal(dense.logits, trained.logits)
+            np.testing.assert_array_equal(dense.offsets, trained.offsets)
+
     def test_outputs_do_not_alias_buffers(self):
         net = toy_net(seed=6)
         images, _ = synth_dataset(SynthConfig(), 2, seed=2)
@@ -326,7 +350,7 @@ class TestInferenceForward:
 
     def test_640_gated_peak_memory(self, net640):
         # A net with empty buffers: the peak counts the buffers the forward
-        # fills (about 61 MB). Keeping every conv's phase planes and ReLU
+        # fills (about 59 MB). Keeping every conv's phase planes and ReLU
         # mask, as a forward with a backward does, peaked at 177 MB.
         net, images = net640
         fresh = Network(config=net.config, params=net.params, seed=net.seed)
