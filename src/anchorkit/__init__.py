@@ -15,19 +15,16 @@ from .geometry import (
     LayerSpec,
     RFInfo,
     generate_anchors,
-    iou,
-    iou_matrix,
     receptive_field,
 )
 from .assign import (
     Assignment,
     MatchConfig,
-    decode_boxes,
     encode_targets,
     match_baseline,
     match_two_step,
 )
-from .loss import LossOutput, multitask_loss, ohem_select, smooth_l1, softmax_ce
+from .loss import LossOutput, multitask_loss, ohem_select, smooth_l1
 from .network import (
     NetConfig,
     Network,
@@ -103,15 +100,12 @@ __all__ = [
     "build_network",
     "count_false_positives",
     "decode_baseline",
-    "decode_boxes",
     "decode_improved",
     "detection_head",
     "encode_targets",
     "evaluate_ap",
     "forward_detect",
     "generate_anchors",
-    "iou",
-    "iou_matrix",
     "load_ppm",
     "load_weights",
     "match_baseline",
@@ -126,7 +120,6 @@ __all__ = [
     "save_weights",
     "serialize_widerface_annotations",
     "smooth_l1",
-    "softmax_ce",
     "synth_dataset",
     "train",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "match_baseline",
     "match_two_step",
     "encode_targets",
-    "decode_boxes",
     "decode_rows",
 ]
 
@@ -220,15 +219,3 @@ def decode_rows(anchor_rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     w = aw * np.exp(offsets[:, 2])
     h = ah * np.exp(offsets[:, 3])
     return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
-
-
-def decode_boxes(grid: AnchorGrid, offsets: np.ndarray) -> np.ndarray:
-    """Decode per-anchor offsets against the whole grid to (N, 4) box rows."""
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.shape != (len(grid), 4):
-        raise ValueError(f"offsets must be ({len(grid)}, 4), got {offsets.shape}")
-    finite = np.isfinite(offsets).all(axis=1)
-    if not finite.all():
-        i = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"non-finite offsets at anchor {i}: {offsets[i]}")
-    return decode_rows(grid.boxes, offsets)

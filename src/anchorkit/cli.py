@@ -36,7 +36,7 @@ from .gradcheck import TOLERANCE, run_all
 from .network import build_network, load_weights, save_weights, tap_conv_stacks, Network
 from .pipeline import VAL_SEED_OFFSET, detect_images, synth_pairs, validation_ap
 from .runconfig import ConfigError, RunConfig, write_manifest
-from .trainer import StepStats, train
+from .trainer import StepStats, TrainingDiverged, train
 
 __all__ = ["run", "main"]
 
@@ -125,7 +125,7 @@ def cmd_rf(args: argparse.Namespace) -> int:
             print(f"{name:<16}{k:>7}{s:>7}{rf:>6}{jump:>6}")
         return 0
     rc = _load_run_config(args)
-    net_cfg = rc.net_config()
+    net_cfg = rc.build("net")
     stacks = tap_conv_stacks(net_cfg)
     infos = [receptive_field(stack) for stack in stacks]
     for ti, info in enumerate(infos):
@@ -149,10 +149,10 @@ def cmd_rf(args: argparse.Namespace) -> int:
 
 def cmd_match_demo(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
-    images, gts = synth_dataset(rc.synth_config(), 1, args.seed)
+    images, gts = synth_dataset(rc.build("synth"), 1, args.seed)
     boxes = gts.boxes["000000.pgm"]
-    grid = generate_anchors(rc.anchor_config())
-    match_cfg = rc.match_config()
+    grid = generate_anchors(rc.build("anchor"))
+    match_cfg = rc.build("match")
     base = match_baseline(grid, boxes, match_cfg.step1_iou)
     two = match_two_step(grid, boxes, match_cfg)
     print(f"scene: {len(boxes)} ground truths, {len(grid)} anchors")
@@ -187,7 +187,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
-    images, gts = synth_dataset(rc.synth_config(), args.n, args.seed)
+    images, gts = synth_dataset(rc.build("synth"), args.n, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -221,7 +221,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
     if args.epochs is not None:
         rc.set("train.epochs", str(args.epochs))
-    net = build_network(rc.net_config(), seed=args.seed)
+    tc = rc.build("train", seed=args.seed)
+    match_cfg, aug_cfg = rc.build("match"), rc.build("aug")
+    net = build_network(rc.build("net"), seed=args.seed)
     if args.data:
         data_dir = Path(args.data)
         images = _load_image_dir(data_dir)
@@ -235,35 +237,23 @@ def cmd_train(args: argparse.Namespace) -> int:
             for rec in records
         ]
     else:
-        pairs, _ = synth_pairs(rc.synth_config(), args.train_n, args.seed)
+        pairs, _ = synth_pairs(rc.build("synth"), args.train_n, args.seed)
 
     callback = None
     if args.target_ap is not None:
         val_images, val_gts = synth_dataset(
-            rc.synth_config(), args.val_n, args.seed + VAL_SEED_OFFSET
+            rc.build("synth"), args.val_n, args.seed + VAL_SEED_OFFSET
         )
         val_keyed = {f"{i:06d}.pgm": img for i, img in enumerate(val_images)}
-        decode_cfg = rc.decode_config()
+        decode_cfg = rc.build("decode")
 
         def callback(epoch: int, net_: Network, stats) -> bool:
             ap = validation_ap(net_, val_keyed, val_gts, decode_cfg)
             print(f"epoch {epoch}: loss {stats.mean_total:.4f}, val AP {ap:.4f}")
             return ap >= args.target_ap
 
-    lam, ratio = rc.loss_params()
     step_log: list[StepStats] | None = [] if args.log_steps else None
-    report = train(
-        net,
-        pairs,
-        rc.train_config(args.seed),
-        match_cfg=rc.match_config(),
-        aug_cfg=rc.aug_config(),
-        lam=lam,
-        ohem_ratio=ratio,
-        matcher=rc.values["train.matcher"],
-        step_log=step_log,
-        epoch_callback=callback,
-    )
+    report = train(net, pairs, tc, match_cfg, aug_cfg, step_log=step_log, epoch_callback=callback)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,7 +296,7 @@ def _check_weights(params: dict[str, np.ndarray], expected: dict[str, np.ndarray
 
 def cmd_detect(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
-    net_cfg = rc.net_config()
+    net_cfg = rc.build("net")
     with Path(args.weights).open("rb") as fh:
         params = load_weights(fh)
     _check_weights(params, build_network(net_cfg).params)
@@ -314,9 +304,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.images:
         images = _load_image_dir(Path(args.images))
     else:
-        synth_images, _ = synth_dataset(rc.synth_config(), args.synth_n, args.seed)
+        synth_images, _ = synth_dataset(rc.build("synth"), args.synth_n, args.seed)
         images = {f"{i:06d}.pgm": img for i, img in enumerate(synth_images)}
-    dets = detect_images(net, images, rc.decode_config())
+    dets = detect_images(net, images, rc.build("decode"))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w") as fh:
@@ -388,7 +378,7 @@ def cmd_bench_decode(args: argparse.Namespace) -> int:
         hot_fraction=args.hot,
         repeats=args.repeats,
         seed=args.seed,
-        cfg=rc.decode_config(),
+        cfg=rc.build("decode"),
     )
     buf = StringIO()
     report.to_csv(buf)
@@ -500,7 +490,7 @@ def run(argv: list[str]) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

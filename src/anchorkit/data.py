@@ -417,7 +417,6 @@ class AugConfig:
 
     crop_ratio_min: float = 1.0
     crop_ratio_max: float = 1.0
-    output_size: int = 128
     hflip_prob: float = 0.5
     brightness_jitter: float = 0.1
     min_box_retained: float = 0.5  # drop boxes keeping less area than this
@@ -428,8 +427,6 @@ class AugConfig:
                 f"crop ratios must satisfy 0 < min <= max <= 1: "
                 f"{self.crop_ratio_min}..{self.crop_ratio_max}"
             )
-        if self.output_size <= 0:
-            raise ValueError("output_size must be positive")
 
 
 def _crop_boxes(boxes: Sequence[Box], x0: float, y0: float, side: float, min_retained: float) -> list[Box]:
@@ -456,6 +453,7 @@ def augment(
     image: np.ndarray,
     gts: Sequence[Box],
     cfg: AugConfig,
+    size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, list[Box]]:
     """Random square crop + resize + flip + brightness jitter.
@@ -464,8 +462,10 @@ def augment(
     translated, clipped, and dropped when less than half their area
     survives. Crops that lose every box (on images that had any) are
     retried up to 50 times before falling back to the full centered
-    square. Output is ``(cfg.output_size, cfg.output_size)``.
+    square. Output is ``(size, size)``.
     """
+    if size <= 0:
+        raise ValueError(f"output size must be positive, got {size}")
     _, h, w = image.shape
     short = min(h, w)
     for _attempt in range(50):
@@ -482,14 +482,13 @@ def augment(
         boxes = _crop_boxes(gts, x0, y0, side, cfg.min_box_retained)
 
     patch = image[:, y0 : y0 + side, x0 : x0 + side]
-    out = _nearest_resize(patch, cfg.output_size).astype(np.float32)
-    scale = cfg.output_size / side
+    out = _nearest_resize(patch, size).astype(np.float32)
+    scale = size / side
     boxes = [Box(b.x1 * scale, b.y1 * scale, b.x2 * scale, b.y2 * scale) for b in boxes]
 
     if cfg.hflip_prob > 0 and rng.random() < cfg.hflip_prob:
         out = out[:, :, ::-1].copy()
-        s = cfg.output_size
-        boxes = [Box(s - b.x2, b.y1, s - b.x1, b.y2) for b in boxes]
+        boxes = [Box(size - b.x2, b.y1, size - b.x1, b.y2) for b in boxes]
 
     if cfg.brightness_jitter > 0:
         delta = float(rng.uniform(-cfg.brightness_jitter, cfg.brightness_jitter))

@@ -24,8 +24,6 @@ __all__ = [
     "AnchorGrid",
     "LayerSpec",
     "RFInfo",
-    "iou",
-    "iou_matrix",
     "pairwise_iou",
     "boxes_to_array",
     "generate_anchors",
@@ -74,16 +72,6 @@ class Box:
         return cls(x, y, x + w, y + h)
 
 
-def iou(a: Box, b: Box) -> float:
-    """Jaccard overlap (intersection over union) of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
 def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
     """Stack boxes into an (N, 4) float64 array of corner rows."""
     rows = [b.as_tuple() for b in boxes]
@@ -119,13 +107,6 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     return inter / (area_a[:, None] + area_b[None, :] - inter)
-
-
-def iou_matrix(boxes_a: Sequence[Box] | np.ndarray, boxes_b: Sequence[Box] | np.ndarray) -> np.ndarray:
-    """Entry (i, j) is ``iou(boxes_a[i], boxes_b[j])``; handles empty inputs."""
-    a = boxes_a if isinstance(boxes_a, np.ndarray) else boxes_to_array(boxes_a)
-    b = boxes_b if isinstance(boxes_b, np.ndarray) else boxes_to_array(boxes_b)
-    return pairwise_iou(a, b)
 
 
 _DEFAULT_LAYERS: tuple[tuple[int, int], ...] = (

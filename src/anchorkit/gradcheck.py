@@ -13,9 +13,10 @@ from typing import Callable
 import numpy as np
 
 from .assign import Assignment
-from .layers import conv2d, conv2d_backward, fuse, fuse_backward
-from .loss import multitask_loss, smooth_l1, softmax_ce
+from .layers import conv2d, conv2d_backward, fuse, upsample2_backward
+from .loss import _ce_batch, multitask_loss, smooth_l1
 from .network import detection_head
+from .trainer import TrainConfig
 
 __all__ = ["finite_diff", "rel_err", "run_all", "TOLERANCE"]
 
@@ -62,11 +63,12 @@ def check_smooth_l1(rng: np.random.Generator, instances: int) -> float:
 def check_softmax_ce(rng: np.random.Generator, instances: int) -> float:
     worst = 0.0
     for _ in range(instances):
-        logits = rng.normal(0.0, 2.0, size=2)
-        label = int(rng.integers(0, 2))
-        _, grad = softmax_ce(logits, label)
-        fd = finite_diff(lambda: softmax_ce(logits, label)[0], logits)
-        worst = max(worst, rel_err(grad, fd))
+        n = int(rng.integers(1, 9))
+        logits = rng.normal(0.0, 2.0, size=(n, 2))
+        labels = rng.integers(0, 2, size=n)
+        _, grads = _ce_batch(logits, labels)
+        fd = finite_diff(lambda: float(_ce_batch(logits, labels)[0].sum()), logits)
+        worst = max(worst, rel_err(grads, fd))
     return worst
 
 
@@ -83,6 +85,7 @@ def _random_assignment(rng: np.random.Generator, n: int) -> Assignment:
 
 def check_multitask_loss(rng: np.random.Generator, instances: int) -> float:
     worst = 0.0
+    ratio = TrainConfig().ohem_ratio
     for _ in range(instances):
         n = int(rng.integers(4, 33))
         assignment = _random_assignment(rng, n)
@@ -92,9 +95,9 @@ def check_multitask_loss(rng: np.random.Generator, instances: int) -> float:
         lam = float(rng.uniform(1.0, 5.0))
 
         def total() -> float:
-            return multitask_loss(logits, offsets, assignment, targets, lam=lam).total
+            return multitask_loss(logits, offsets, assignment, targets, lam, ratio).total
 
-        out = multitask_loss(logits, offsets, assignment, targets, lam=lam)
+        out = multitask_loss(logits, offsets, assignment, targets, lam, ratio)
         worst = max(worst, rel_err(out.grad_logits, finite_diff(total, logits)))
         worst = max(worst, rel_err(out.grad_offsets, finite_diff(total, offsets)))
     return worst
@@ -138,8 +141,9 @@ def check_fuse(rng: np.random.Generator, instances: int) -> float:
         def scalar() -> float:
             return float((fuse(current, higher) * proj).sum())
 
-        g_cur, g_hi = fuse_backward(proj, higher.shape)
-        worst = max(worst, rel_err(g_cur, finite_diff(scalar, current)))
+        # the current map's gradient passes through unchanged
+        g_hi = upsample2_backward(proj, *higher.shape[1:])
+        worst = max(worst, rel_err(proj, finite_diff(scalar, current)))
         worst = max(worst, rel_err(g_hi, finite_diff(scalar, higher)))
     return worst
 

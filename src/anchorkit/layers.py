@@ -159,7 +159,6 @@ __all__ = [
     "conv2d_backward",
     "upsample2_backward",
     "fuse",
-    "fuse_backward",
 ]
 
 # Below this many input channels a per-tap GEMM has K = C, too thin for
@@ -600,9 +599,3 @@ def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None,
     else:
         add(slice(None))
     return out
-
-
-def fuse_backward(grad_out: np.ndarray, higher_shape: tuple[int, int, int]):
-    """Split the upstream gradient: identity to current, window-sum to higher."""
-    _, h_in, w_in = higher_shape
-    return grad_out, upsample2_backward(grad_out, h_in, w_in)

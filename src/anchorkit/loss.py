@@ -2,12 +2,13 @@
 
 The total loss is ``cls_term + lam * reg_term`` where the classification
 term is softmax cross entropy over positives plus the mined hardest
-negatives (ratio negatives per positive, default 3:1), normalized by the
+negatives (``ohem_ratio`` negatives per positive), normalized by the
 number of anchors actually in the term. Near misses, negatives that
 overlap a face at IoU >= :data:`IGNORE_IOU` (0.3) but below the match
 threshold, are never mined. The regression term is
 smooth L1 summed over the four offset components of the positive
-anchors, normalized by the positive count.
+anchors, normalized by the positive count. Training takes ``lam`` and
+``ohem_ratio`` from its ``TrainConfig``.
 
 All math follows the dtype of the inputs: feed float64 arrays for the
 oracle/gradient-check path, float32 in the training loop. Analytic
@@ -26,7 +27,6 @@ from .assign import Assignment
 __all__ = [
     "LossOutput",
     "smooth_l1",
-    "softmax_ce",
     "ohem_select",
     "multitask_loss",
     "ZERO_POSITIVE_NEGATIVES",
@@ -65,23 +65,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_ce(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross entropy of a single 2-class logit pair, with its gradient.
-
-    Uses max-subtraction stabilization. Gradient is softmax(logits) minus
-    the one-hot label.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape != (2,):
-        raise ValueError(f"expected a 2-vector of logits, got shape {logits.shape}")
-    log_p = _log_softmax(logits)
-    grad = np.exp(log_p)
-    grad[label] -= 1.0
-    return float(-log_p[label]), grad
-
-
 def _ce_batch(logits: np.ndarray, labels01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise CE values and gradients for (N, 2) logits and 0/1 labels."""
+    """Row-wise CE values and gradients for (N, 2) logits and 0/1 labels.
+
+    Uses max-subtraction stabilization. Each gradient row is the row's
+    softmax minus the one-hot label.
+    """
     log_p = _log_softmax(logits)
     n = logits.shape[0]
     values = -log_p[np.arange(n), labels01]
@@ -90,7 +79,7 @@ def _ce_batch(logits: np.ndarray, labels01: np.ndarray) -> tuple[np.ndarray, np.
     return values, grads
 
 
-def ohem_select(cls_losses: np.ndarray, assignment: Assignment, ratio: int = 3) -> np.ndarray:
+def ohem_select(cls_losses: np.ndarray, assignment: Assignment, ratio: int) -> np.ndarray:
     """Pick the hardest negative anchors at ``ratio`` negatives per positive.
 
     Returns the selected negative indices. Negatives whose best IoU with a
@@ -130,8 +119,8 @@ def multitask_loss(
     offsets: np.ndarray,
     assignment: Assignment,
     targets: np.ndarray,
-    lam: float = 4.0,
-    ohem_ratio: int = 3,
+    lam: float,
+    ohem_ratio: int,
 ) -> LossOutput:
     """Classification + box-regression loss over one image's anchors.
 

@@ -1,19 +1,24 @@
 """Experiment configuration: plain-text key=value files plus overrides.
 
-Every key is validated against the schema below; unknown keys are
-rejected by name. Values use dotted sections (``anchor.*``, ``match.*``,
-``decode.*``, ``train.*``, ``aug.*``, ``net.*``, ``synth.*``,
-``loss.*``). A run that writes artifacts also writes a ``manifest.json``
-(command, config snapshot, seed, library versions — no timestamps, so
-identical runs produce identical manifests).
+The config dataclasses are the only home of the defaults. A key is
+``section.field`` for a field of a section's config (``anchor.*``,
+``match.*``, ``decode.*``, ``train.*``, ``aug.*``, ``net.*``,
+``synth.*``), and its default is that field's value in the section's
+toy instance (see ``_SECTIONS``); ``_RENAMED`` and ``_UNKEYED`` list
+the exceptions. A key's parser follows its default's type. Unknown
+keys are rejected by name. :meth:`RunConfig.build` turns the values
+into a section's config. A run that writes artifacts also writes a
+``manifest.json`` (command, config snapshot, seed, library versions —
+no timestamps, so identical runs produce identical manifests).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -40,14 +45,21 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
-    except ValueError as e:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from e
+    except ValueError:
+        raise ValueError("expected comma-separated integers") from None
 
 
 _STAGE_RE = re.compile(r"^(\d+)x(\d+)s(\d+)$")
@@ -58,9 +70,7 @@ def _parse_stages(text: str) -> tuple[StageSpec, ...]:
     for token in text.split(","):
         m = _STAGE_RE.match(token.strip())
         if not m:
-            raise ConfigError(
-                f"bad stage {token!r}: expected '<n_convs>x<channels>s<stride>'"
-            )
+            raise ValueError(f"bad stage {token!r}: expected '<n_convs>x<channels>s<stride>'")
         stages.append(StageSpec(int(m.group(1)), int(m.group(2)), int(m.group(3))))
     return tuple(stages)
 
@@ -69,55 +79,72 @@ def _stages_text(stages: tuple[StageSpec, ...]) -> str:
     return ",".join(f"{s.n_convs}x{s.channels}s{s.stride}" for s in stages)
 
 
-# key -> (parser, toy default)
-_SCHEMA: dict[str, tuple[Any, Any]] = {
-    "anchor.strides": (_parse_int_list, (4, 8)),
-    "anchor.sizes": (_parse_int_list, (16, 32)),
-    "anchor.image_w": (int, 64),
-    "anchor.image_h": (int, 64),
-    "match.step1_iou": (float, 0.5),
-    "match.max_extra_anchors": (int, 4),
-    "match.step2_iou_floor": (float, 0.1),
-    "decode.score_threshold": (float, 0.1),
-    "decode.nms_threshold": (float, 0.3),
-    "decode.report_threshold": (float, 0.1),
-    "decode.max_detections": (int, 200),
-    "decode.clip_to_image": (_parse_bool, True),
-    "train.lr": (float, 3e-3),
-    "train.momentum": (float, 0.9),
-    "train.weight_decay": (float, 1e-4),
-    "train.batch_size": (int, 6),
-    "train.epochs": (int, 10),
-    "train.plateau_patience": (int, 3),
-    "train.lr_divisor": (float, 10.0),
-    "train.matcher": (str, "two_step"),
-    "aug.enabled": (_parse_bool, True),
-    "aug.crop_ratio_min": (float, 1.0),
-    "aug.crop_ratio_max": (float, 1.0),
-    "aug.hflip_prob": (float, 0.5),
-    "aug.brightness_jitter": (float, 0.1),
-    "net.stages": (_parse_stages, _parse_stages("1x8s1,1x16s2,2x32s2,2x64s2")),
-    "net.taps": (_parse_int_list, (2, 3)),
-    "net.head_channels": (int, 64),
-    "net.head_depth": (int, 2),
-    "net.fusion": (_parse_bool, True),
-    "net.split_heads": (_parse_bool, True),
-    "synth.image_size": (int, 64),
-    "synth.faces_min": (int, 1),
-    "synth.faces_max": (int, 3),
-    "synth.face_size_min": (int, 12),
-    "synth.face_size_max": (int, 28),
-    "synth.noise_amplitude": (float, 0.25),
-    "synth.face_contrast": (float, 0.6),
-    "synth.distractor_rate": (float, 0.15),
-    "loss.lambda": (float, 4.0),
-    "loss.ohem_ratio": (int, 3),
+# Each section's keys set the fields of its config; their defaults are
+# the fields' values in these instances.
+_SECTIONS: dict[str, Any] = {
+    "anchor": AnchorConfig.toy(),
+    "match": MatchConfig(),
+    "decode": DecodeConfig(),
+    "train": TrainConfig(),
+    "aug": AugConfig(),
+    "net": NetConfig.toy(),
+    "synth": SynthConfig(),
 }
+
+# Keys that are not a field of their own section: key -> (section,
+# attribute). The attribute holds the default; build() turns
+# anchor.strides and anchor.sizes into AnchorConfig.layers.
+_RENAMED = {
+    "anchor.strides": ("anchor", "strides"),
+    "anchor.sizes": ("anchor", "sizes"),
+    "loss.lambda": ("train", "lam"),
+    "loss.ohem_ratio": ("train", "ohem_ratio"),
+}
+
+# Fields that are no key: the keys above set the first three, build()
+# sets net.anchors, the caller train.seed, and the rest keep their toy
+# values.
+_UNKEYED = {
+    "anchor.layers", "train.lam", "train.ohem_ratio",
+    "net.anchors", "train.seed", "net.in_channels", "aug.min_box_retained",
+}
+
+
+def _parser(default: Any):
+    """The parser of a key whose default is ``default``."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, float):
+        return _parse_float
+    if isinstance(default, (int, str)):
+        return type(default)
+    if default and all(isinstance(v, StageSpec) for v in default):
+        return _parse_stages
+    if default and all(isinstance(v, int) for v in default):
+        return _parse_int_list
+    raise TypeError(f"no parser for a default of {default!r}")
+
+
+# key -> (section, attribute)
+_TARGETS: dict[str, tuple[str, str]] = {
+    f"{section}.{f.name}": (section, f.name)
+    for section, config in _SECTIONS.items()
+    for f in fields(config)
+    if f"{section}.{f.name}" not in _UNKEYED
+} | _RENAMED
+
+_DEFAULTS = {key: getattr(_SECTIONS[section], name) for key, (section, name) in _TARGETS.items()}
+
+# key -> (parser, default); aug.enabled is the one key with no config
+# field, and training augments unless it is off.
+_SCHEMA: dict[str, tuple[Any, Any]] = {
+    key: (_parser(default), default) for key, default in _DEFAULTS.items()
+} | {"aug.enabled": (_parse_bool, True)}
 
 
 @dataclass
 class RunConfig:
-    """Validated settings for one run; starts from toy-scale defaults."""
+    """Validated settings for one run; starts from the toy instances' values."""
 
     values: dict[str, Any] = field(default_factory=lambda: {k: d for k, (_, d) in _SCHEMA.items()})
 
@@ -127,8 +154,6 @@ class RunConfig:
         parser, _ = _SCHEMA[key]
         try:
             self.values[key] = parser(raw)
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({e})") from e
 
@@ -172,90 +197,27 @@ class RunConfig:
     def to_text(self) -> str:
         return "".join(f"{k}={v}\n" for k, v in self.snapshot().items())
 
-    # typed views ----------------------------------------------------------
+    def build(self, section: str, **extra: Any) -> Any:
+        """The section's config: its toy instance with every key's value.
 
-    def anchor_config(self) -> AnchorConfig:
-        strides = self.values["anchor.strides"]
-        sizes = self.values["anchor.sizes"]
-        if len(strides) != len(sizes):
-            raise ConfigError("anchor.strides and anchor.sizes must have the same length")
-        return AnchorConfig(
-            layers=tuple(zip(strides, sizes)),
-            image_w=self.values["anchor.image_w"],
-            image_h=self.values["anchor.image_h"],
-        )
-
-    def match_config(self) -> MatchConfig:
-        return MatchConfig(
-            step1_iou=self.values["match.step1_iou"],
-            max_extra_anchors=self.values["match.max_extra_anchors"],
-            step2_iou_floor=self.values["match.step2_iou_floor"],
-        )
-
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(
-            score_threshold=self.values["decode.score_threshold"],
-            nms_threshold=self.values["decode.nms_threshold"],
-            report_threshold=self.values["decode.report_threshold"],
-            max_detections=self.values["decode.max_detections"],
-            clip_to_image=self.values["decode.clip_to_image"],
-        )
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            lr=self.values["train.lr"],
-            momentum=self.values["train.momentum"],
-            weight_decay=self.values["train.weight_decay"],
-            batch_size=self.values["train.batch_size"],
-            epochs=self.values["train.epochs"],
-            plateau_patience=self.values["train.plateau_patience"],
-            lr_divisor=self.values["train.lr_divisor"],
-            seed=seed,
-        )
-
-    def aug_config(self) -> AugConfig | None:
-        """Augmentation settings, sized to the (square) anchor config's image."""
-        if not self.values["aug.enabled"]:
+        ``extra`` sets fields that are no key, such as ``seed`` of
+        ``"train"``. ``"aug"`` gives ``None`` when ``aug.enabled`` is off.
+        A value the config rejects raises :class:`ConfigError`.
+        """
+        if section == "aug" and not self.values["aug.enabled"]:
             return None
-        w, h = self.values["anchor.image_w"], self.values["anchor.image_h"]
-        if w != h:
-            raise ConfigError(
-                f"augmentation needs a square anchor config, got "
-                f"anchor.image_w={w}, anchor.image_h={h}"
-            )
-        return AugConfig(
-            crop_ratio_min=self.values["aug.crop_ratio_min"],
-            crop_ratio_max=self.values["aug.crop_ratio_max"],
-            output_size=w,
-            hflip_prob=self.values["aug.hflip_prob"],
-            brightness_jitter=self.values["aug.brightness_jitter"],
-        )
-
-    def net_config(self) -> NetConfig:
-        return NetConfig(
-            stages=self.values["net.stages"],
-            taps=self.values["net.taps"],
-            anchors=self.anchor_config(),
-            head_channels=self.values["net.head_channels"],
-            head_depth=self.values["net.head_depth"],
-            fusion=self.values["net.fusion"],
-            split_heads=self.values["net.split_heads"],
-        )
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            image_size=self.values["synth.image_size"],
-            faces_min=self.values["synth.faces_min"],
-            faces_max=self.values["synth.faces_max"],
-            face_size_min=self.values["synth.face_size_min"],
-            face_size_max=self.values["synth.face_size_max"],
-            noise_amplitude=self.values["synth.noise_amplitude"],
-            face_contrast=self.values["synth.face_contrast"],
-            distractor_rate=self.values["synth.distractor_rate"],
-        )
-
-    def loss_params(self) -> tuple[float, int]:
-        return self.values["loss.lambda"], self.values["loss.ohem_ratio"]
+        kwargs = {name: self.values[key] for key, (sec, name) in _TARGETS.items() if sec == section}
+        if section == "anchor":
+            strides, sizes = kwargs.pop("strides"), kwargs.pop("sizes")
+            if len(strides) != len(sizes):
+                raise ConfigError("anchor.strides and anchor.sizes must have the same length")
+            kwargs["layers"] = tuple(zip(strides, sizes))
+        elif section == "net":
+            kwargs["anchors"] = self.build("anchor")
+        try:
+            return replace(_SECTIONS[section], **kwargs, **extra)
+        except ValueError as e:
+            raise ConfigError(f"{section} config: {e}") from e
 
 
 def write_manifest(directory: Path, command: str, config: RunConfig, seed: int | None) -> None:

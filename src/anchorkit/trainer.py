@@ -1,8 +1,9 @@
 """SGD training loop for the toy detector.
 
-Each step: augment the sample, run two-step matching, encode targets,
-forward, multi-task loss with hard negative mining, backward, and a
-momentum-SGD update with L2 weight decay folded into the gradient.
+Each step: augment the sample, run the two-step (or baseline) matcher,
+encode targets, forward, multi-task loss with hard negative mining,
+backward, and a momentum-SGD update with L2 weight decay folded into
+the gradient.
 The learning rate ramps linearly from ``lr / WARMUP_UPDATES`` to ``lr``
 over the first :data:`WARMUP_UPDATES` SGD updates, and is divided by
 ``lr_divisor`` whenever the mean epoch loss fails to improve by at least
@@ -59,8 +60,13 @@ class TrainConfig:
     plateau_patience: int = 3
     lr_divisor: float = 10.0
     seed: int = 0
+    matcher: str = "two_step"  # or "baseline", the plain threshold matcher
+    lam: float = 4.0  # weight of the box-regression term in the loss
+    ohem_ratio: int = 3  # mined hard negatives per positive anchor
 
     def __post_init__(self) -> None:
+        if self.matcher not in ("two_step", "baseline"):
+            raise ValueError(f"matcher must be 'two_step' or 'baseline', got {self.matcher!r}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.lr_divisor <= 1:
@@ -135,36 +141,30 @@ def train(
     net: Network,
     data: Sequence[tuple[np.ndarray, Sequence[Box]]],
     tc: TrainConfig,
-    match_cfg: MatchConfig | None = None,
-    aug_cfg: AugConfig | None | str = "default",
-    lam: float = 4.0,
-    ohem_ratio: int = 3,
-    matcher: str = "two_step",
+    match_cfg: MatchConfig = MatchConfig(),
+    aug_cfg: AugConfig | None = AugConfig(),
     step_log: list[StepStats] | None = None,
     epoch_callback: Callable[[int, Network, EpochStats], bool] | None = None,
 ) -> TrainReport:
     """Train in place on (image, boxes) samples; returns per-epoch stats.
 
-    Augmentation runs by default, sized to the anchor config (square
-    inputs); pass an :class:`AugConfig` to customize it or ``None`` to
-    feed samples as-is (their size must then match the anchor config).
-    ``matcher`` selects the anchor assignment rule: "two_step" (default)
-    or "baseline" for the plain threshold matcher. ``epoch_callback``
-    may return True to stop early — e.g. once a validation score is
-    reached. Raises :class:`TrainingDiverged` if the loss goes
-    non-finite.
+    Every setting comes in a config, and each default is written once,
+    on its config's field. ``tc`` holds the schedule, the matcher and the
+    loss weights (``lam``, ``ohem_ratio``). Samples are augmented by
+    ``aug_cfg`` to the anchor config's image size, which must then be
+    square; pass ``None`` to feed samples as-is (their size must then
+    match the anchor config). ``epoch_callback`` may return True to stop
+    early — e.g. once a validation score is reached. Raises
+    :class:`TrainingDiverged` if the loss goes non-finite.
     """
     if not data:
         raise ValueError("training data is empty")
-    if matcher not in ("two_step", "baseline"):
-        raise ValueError(f"matcher must be 'two_step' or 'baseline', got {matcher!r}")
-    if aug_cfg == "default":
-        anchors = net.config.anchors
-        if anchors.image_w != anchors.image_h:
-            raise ValueError("default augmentation needs a square anchor config")
-        aug_cfg = AugConfig(output_size=anchors.image_w)
-    match_cfg = match_cfg or MatchConfig()
-    grid = generate_anchors(net.config.anchors)
+    anchors = net.config.anchors
+    if aug_cfg is not None and anchors.image_w != anchors.image_h:
+        raise ValueError(
+            f"augmentation needs a square anchor config, got {anchors.image_w}x{anchors.image_h}"
+        )
+    grid = generate_anchors(anchors)
     velocity = {k: np.zeros_like(v) for k, v in net.params.items()}
     report = TrainReport(seed=tc.seed)
     lr = tc.lr
@@ -183,15 +183,15 @@ def train(
                 image, boxes = data[idx]
                 if aug_cfg is not None:
                     rng = sample_rng(tc.seed, _AUG_STREAM, epoch, int(idx))
-                    image, boxes = augment(image, boxes, aug_cfg, rng)
-                if matcher == "two_step":
+                    image, boxes = augment(image, boxes, aug_cfg, anchors.image_w, rng)
+                if tc.matcher == "two_step":
                     assignment = match_two_step(grid, boxes, match_cfg)
                 else:
                     assignment = match_baseline(grid, boxes, match_cfg.step1_iou)
                 targets = encode_targets(assignment, grid, boxes).astype(np.float32)
                 raw, backward = forward_detect(net, image, want_grad=True)
                 out = multitask_loss(
-                    raw.logits, raw.offsets, assignment, targets, lam, ohem_ratio
+                    raw.logits, raw.offsets, assignment, targets, tc.lam, tc.ohem_ratio
                 )
                 if not np.isfinite(out.total):
                     raise TrainingDiverged(step, out.total)

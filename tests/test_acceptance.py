@@ -31,7 +31,7 @@ from anchorkit.evalkit import (
     match_detections,
     pr_curve,
 )
-from anchorkit.geometry import AnchorConfig, Box, generate_anchors, iou_matrix
+from anchorkit.geometry import AnchorConfig, Box, boxes_to_array, generate_anchors, pairwise_iou
 from anchorkit.gradcheck import TOLERANCE, run_all
 from anchorkit.network import NetConfig, RawOutput, build_network
 from anchorkit.pipeline import VAL_SEED_OFFSET, detect_images, synth_pairs, validation_ap
@@ -99,10 +99,10 @@ def trained_ablation_pair(val_split):
     epochs = 18
 
     full = build_network(NetConfig.toy(fusion=True, split_heads=True), seed=SEED)
-    train(full, pairs, TrainConfig(epochs=epochs, seed=SEED), matcher="two_step")
+    train(full, pairs, TrainConfig(epochs=epochs, seed=SEED, matcher="two_step"))
 
     base = build_network(NetConfig.toy(fusion=False, split_heads=False), seed=SEED)
-    train(base, pairs, TrainConfig(epochs=epochs, seed=SEED), matcher="baseline")
+    train(base, pairs, TrainConfig(epochs=epochs, seed=SEED, matcher="baseline"))
     return full, base
 
 
@@ -147,7 +147,7 @@ def _random_match_scene(rng, image=64):
         y = float(rng.uniform(-4, image - h + 4))
         cand = Box(x, y, x + w, y + h)
         if all(
-            iou_matrix([cand], [b])[0, 0] < 0.5 for b in boxes
+            pairwise_iou(boxes_to_array([cand]), boxes_to_array([b]))[0, 0] < 0.5 for b in boxes
         ):
             boxes.append(cand)
     return boxes
@@ -161,7 +161,7 @@ def test_c03_matching_guarantees():
         gts = _random_match_scene(rng)
         base = match_baseline(grid, gts, cfg.step1_iou)
         two = match_two_step(grid, gts, cfg)
-        overlaps = iou_matrix(gts, grid.boxes)
+        overlaps = pairwise_iou(boxes_to_array(gts), grid.boxes)
 
         # (a) no anchor assigned to two gts
         pos = two.positive_indices()

@@ -1,13 +1,18 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anchorkit.cli import run
-from anchorkit.network import NetConfig, build_network, save_weights
+from anchorkit.data import AugConfig
+from anchorkit.network import NetConfig, StageSpec, build_network, save_weights
 from anchorkit.runconfig import ConfigError, RunConfig
+from anchorkit.trainer import TrainConfig
 
 
 def test_anchors_prints_total_and_discrepancy(capsys):
@@ -163,6 +168,27 @@ def test_train_at_128(tmp_path):
     assert (tmp_path / "run" / "weights.bin").exists()
 
 
+def test_non_finite_config_float_rejected(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["train", "--out", str(out), "--set", "train.lr=nan", "--set", "train.epochs=1",
+                "--train-n", "6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and "train.lr" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_diverged_training_reports_step(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run(["train", "--out", str(out), "--set", "train.lr=1e30", "--set", "train.epochs=2",
+                "--train-n", "6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.search(r"^error: non-finite loss \S+ at step \d+$", err, re.M)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_detect_truncated_weights_reports_error(tmp_path, capsys):
     weights = tmp_path / "weights.bin"
     with weights.open("wb") as fh:
@@ -208,6 +234,29 @@ def test_bench_decode_small(tmp_path, capsys):
     assert "improved,2000,0.02" in text
 
 
+# characters a config file can hold; surrogates cannot be written as UTF-8
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+# every value that a key's default's type allows and that to_text writes exactly
+_STRATEGIES = {
+    bool: st.booleans(),
+    int: st.integers(-10**6, 10**6),
+    # at most six significant digits, all that to_text writes
+    float: st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-999999, 999999), st.integers(-30, 30)),
+}
+
+
+def _value_strategy(key, default):
+    if key == "train.matcher":
+        return st.sampled_from(["two_step", "baseline"])
+    if key == "net.stages":
+        spec = st.builds(StageSpec, st.integers(1, 9), st.integers(1, 512), st.integers(1, 4))
+        return st.lists(spec, min_size=1, max_size=6).map(tuple)
+    if isinstance(default, tuple):
+        return st.lists(_STRATEGIES[int], min_size=1, max_size=6).map(tuple)
+    return _STRATEGIES[type(default)]
+
+
 class TestRunConfig:
     def test_unknown_key_named(self):
         rc = RunConfig()
@@ -237,23 +286,115 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"c.cfg:2: expected key=value"):
             RunConfig().load_file(path)
 
-    def test_typed_views_consistent(self):
+    def test_built_configs_consistent(self):
         rc = RunConfig()
-        assert rc.net_config().anchors == rc.anchor_config()
-        assert rc.match_config().step1_iou == 0.5
-        assert rc.decode_config().nms_threshold == 0.3
-        assert rc.train_config(3).seed == 3
-        assert rc.aug_config().output_size == 64
+        assert rc.build("net").anchors == rc.build("anchor")
+        assert rc.build("match").step1_iou == 0.5
+        assert rc.build("decode").nms_threshold == 0.3
+        assert rc.build("train", seed=3) == TrainConfig(seed=3)
+        assert rc.build("aug") == AugConfig()
         rc.set("aug.enabled", "false")
-        assert rc.aug_config() is None
+        assert rc.build("aug") is None
 
-    def test_aug_size_follows_anchor_config(self):
+    def test_loss_keys_set_train_config(self):
         rc = RunConfig()
-        rc.set("anchor.image_w", "128")
-        rc.set("anchor.image_h", "128")
-        assert rc.aug_config().output_size == 128
-        rc.set("anchor.image_h", "96")
-        with pytest.raises(ConfigError, match="square"):
-            rc.aug_config()
-        with pytest.raises(ConfigError, match="aug.output_size"):
-            rc.set("aug.output_size", "64")
+        rc.set("loss.lambda", "2.5")
+        rc.set("loss.ohem_ratio", "5")
+        rc.set("train.matcher", "baseline")
+        tc = rc.build("train")
+        assert (tc.lam, tc.ohem_ratio, tc.matcher) == (2.5, 5, "baseline")
+
+    def test_bad_matcher_fails_at_build(self):
+        rc = RunConfig()
+        rc.set("train.matcher", "fancy")
+        with pytest.raises(ConfigError, match="matcher"):
+            rc.build("train")
+
+    def test_aug_size_follows_anchor_config(self, tmp_path, capsys):
+        # augment() takes its size from the anchor config, which must be square
+        args = ["train", "--out", str(tmp_path / "run"), "--train-n", "2",
+                "--set", "train.epochs=1", "--set", "anchor.image_h=96"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert "square" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["train.seed", "net.in_channels", "aug.output_size",
+                                     "net.anchors", "aug.min_box_retained"])
+    def test_fields_that_are_no_key(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'"):
+            RunConfig().set(key, "1")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(ConfigError, match="train.lr"):
+            RunConfig().set("train.lr", raw)
+
+    def test_default_text_pinned(self):
+        assert RunConfig().to_text() == DEFAULT_TEXT
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_any_valid_values_round_trip(self, tmp_path, data):
+        rc = RunConfig()
+        for key, default in rc.values.items():
+            rc.values[key] = data.draw(_value_strategy(key, default), label=key)
+        path = tmp_path / "c.cfg"
+        path.write_text(rc.to_text())
+        again = RunConfig()
+        again.load_file(path)
+        assert again.values == rc.values
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.sampled_from(sorted(RunConfig().values)), _TEXT), _TEXT)
+    def test_any_line_parses_or_names_itself(self, tmp_path, key, raw):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key}={raw}\n")
+        try:
+            RunConfig().load_file(path)
+        except ConfigError as e:
+            assert str(e).startswith(f"{path}:")
+
+
+DEFAULT_TEXT = """\
+anchor.image_h=64
+anchor.image_w=64
+anchor.sizes=16,32
+anchor.strides=4,8
+aug.brightness_jitter=0.1
+aug.crop_ratio_max=1
+aug.crop_ratio_min=1
+aug.enabled=true
+aug.hflip_prob=0.5
+decode.clip_to_image=true
+decode.max_detections=200
+decode.nms_threshold=0.3
+decode.report_threshold=0.1
+decode.score_threshold=0.1
+loss.lambda=4
+loss.ohem_ratio=3
+match.max_extra_anchors=4
+match.step1_iou=0.5
+match.step2_iou_floor=0.1
+net.fusion=true
+net.head_channels=64
+net.head_depth=2
+net.split_heads=true
+net.stages=1x8s1,1x16s2,2x32s2,2x64s2
+net.taps=2,3
+synth.distractor_rate=0.15
+synth.face_contrast=0.6
+synth.face_size_max=28
+synth.face_size_min=12
+synth.faces_max=3
+synth.faces_min=1
+synth.image_size=64
+synth.noise_amplitude=0.25
+train.batch_size=6
+train.epochs=10
+train.lr=0.003
+train.lr_divisor=10
+train.matcher=two_step
+train.momentum=0.9
+train.plateau_patience=3
+train.weight_decay=0.0001
+"""

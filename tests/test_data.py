@@ -163,36 +163,33 @@ class TestSynthDataset:
 
 class TestAugment:
     def test_pure_rescale(self):
-        cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, output_size=128,
-                        hflip_prob=0.0, brightness_jitter=0.0)
+        cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, hflip_prob=0.0, brightness_jitter=0.0)
         img = np.zeros((1, 64, 64), dtype=np.float32)
         boxes = [Box(10, 20, 30, 40)]
-        out, new_boxes = augment(img, boxes, cfg, np.random.default_rng(0))
+        out, new_boxes = augment(img, boxes, cfg, 128, np.random.default_rng(0))
         assert out.shape == (1, 128, 128)
         assert new_boxes[0] == Box(20, 40, 60, 80)
 
     def test_hflip_mirrors_boxes(self):
-        cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, output_size=100,
-                        hflip_prob=1.0, brightness_jitter=0.0)
+        cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, hflip_prob=1.0, brightness_jitter=0.0)
         img = np.zeros((1, 100, 100), dtype=np.float32)
-        _, boxes = augment(img, [Box(10, 0, 20, 10)], cfg, np.random.default_rng(0))
+        _, boxes = augment(img, [Box(10, 0, 20, 10)], cfg, 100, np.random.default_rng(0))
         assert boxes[0] == Box(80, 0, 90, 10)
 
     def test_outside_gt_dropped(self):
-        cfg = AugConfig(crop_ratio_min=0.5, crop_ratio_max=0.5, output_size=32,
-                        hflip_prob=0.0, brightness_jitter=0.0)
+        cfg = AugConfig(crop_ratio_min=0.5, crop_ratio_max=0.5, hflip_prob=0.0, brightness_jitter=0.0)
         img = np.zeros((1, 64, 64), dtype=np.float32)
         # one gt in each corner; a 32px crop can keep at most one corner region
         boxes = [Box(0, 0, 8, 8), Box(56, 56, 64, 64)]
-        _, kept = augment(img, boxes, cfg, np.random.default_rng(1))
+        _, kept = augment(img, boxes, cfg, 32, np.random.default_rng(1))
         assert len(kept) <= 1
 
     def test_boxes_stay_valid(self):
         rng = np.random.default_rng(3)
-        cfg = AugConfig(crop_ratio_min=0.3, output_size=64)  # random crops, clipped boxes
+        cfg = AugConfig(crop_ratio_min=0.3)  # random crops, clipped boxes
         images, gts = synth_dataset(SynthConfig(), 20, seed=5)
         for i, img in enumerate(images):
-            out, boxes = augment(img, gts.boxes[f"{i:06d}.pgm"], cfg, rng)
+            out, boxes = augment(img, gts.boxes[f"{i:06d}.pgm"], cfg, 64, rng)
             assert out.shape == (1, 64, 64)
             assert out.min() >= 0.0 and out.max() <= 1.0
             for b in boxes:
@@ -200,17 +197,16 @@ class TestAugment:
                 assert 0 <= b.y1 < b.y2 <= 64
 
     def test_deterministic_given_rng_seed(self):
-        cfg = AugConfig(crop_ratio_min=0.3, output_size=64)
+        cfg = AugConfig(crop_ratio_min=0.3)
         images, gts = synth_dataset(SynthConfig(), 1, seed=5)
-        a = augment(images[0], gts.boxes["000000.pgm"], cfg, sample_rng(1, 2, 3))
-        b = augment(images[0], gts.boxes["000000.pgm"], cfg, sample_rng(1, 2, 3))
+        a = augment(images[0], gts.boxes["000000.pgm"], cfg, 64, sample_rng(1, 2, 3))
+        b = augment(images[0], gts.boxes["000000.pgm"], cfg, 64, sample_rng(1, 2, 3))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
     def test_brightness_jitter_clamped(self):
-        cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, output_size=16,
-                        hflip_prob=0.0, brightness_jitter=0.5)
+        cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, hflip_prob=0.0, brightness_jitter=0.5)
         img = np.full((1, 16, 16), 0.9, dtype=np.float32)
         for seed in range(5):
-            out, _ = augment(img, [], cfg, np.random.default_rng(seed))
+            out, _ = augment(img, [], cfg, 16, np.random.default_rng(seed))
             assert out.max() <= 1.0 and out.min() >= 0.0

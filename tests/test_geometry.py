@@ -12,13 +12,11 @@ from anchorkit.geometry import (
     LayerSpec,
     boxes_to_array,
     generate_anchors,
-    iou,
-    iou_matrix,
     pairwise_iou,
     receptive_field,
 )
 
-from oracles import anchor_count_oracle
+from oracles import anchor_count_oracle, iou_xyxy
 
 
 def box_strategy(lo=-50.0, hi=50.0):
@@ -40,6 +38,10 @@ class TestBox:
 
     def test_from_xywh(self):
         assert Box.from_xywh(10, 10, 20, 20) == Box(10, 10, 30, 30)
+
+
+def iou(a, b):
+    return float(pairwise_iou(boxes_to_array([a]), boxes_to_array([b]))[0, 0])
 
 
 class TestIoU:
@@ -67,17 +69,18 @@ class TestIoU:
 
 class TestIoUMatrix:
     def test_basic(self):
-        m = iou_matrix([Box(0, 0, 2, 2)], [Box(0, 0, 2, 2), Box(10, 10, 12, 12)])
+        m = pairwise_iou(boxes_to_array([Box(0, 0, 2, 2)]),
+                         boxes_to_array([Box(0, 0, 2, 2), Box(10, 10, 12, 12)]))
         assert m.shape == (1, 2)
         assert m[0, 0] == 1.0 and m[0, 1] == 0.0
 
     def test_empty(self):
-        m = iou_matrix([], [Box(0, 0, 2, 2)])
+        m = pairwise_iou(boxes_to_array([]), boxes_to_array([Box(0, 0, 2, 2)]))
         assert m.shape == (0, 1)
 
     def test_two_by_two(self):
-        boxes = [Box(0, 0, 4, 4), Box(2, 2, 6, 6)]
-        m = iou_matrix(boxes, boxes)
+        rows = boxes_to_array([Box(0, 0, 4, 4), Box(2, 2, 6, 6)])
+        m = pairwise_iou(rows, rows)
         expect = np.array([[1.0, 4 / 28], [4 / 28, 1.0]])
         np.testing.assert_allclose(m, expect)
 
@@ -88,10 +91,11 @@ class TestIoUMatrix:
 
     @given(st.lists(box_strategy(), max_size=5), st.lists(box_strategy(), max_size=5))
     def test_matches_scalar_iou(self, a, b):
-        m = iou_matrix(a, b)
+        m = pairwise_iou(boxes_to_array(a), boxes_to_array(b))
+        assert m.shape == (len(a), len(b))
         for i, ba in enumerate(a):
             for j, bb in enumerate(b):
-                assert m[i, j] == pytest.approx(iou(ba, bb))
+                assert m[i, j] == pytest.approx(iou_xyxy(ba.as_tuple(), bb.as_tuple()))
 
 
 class TestAnchorConfig:

@@ -17,7 +17,6 @@ from anchorkit.layers import (
     conv2d,
     conv2d_backward,
     fuse,
-    fuse_backward,
     upsample2_backward,
 )
 

@@ -6,13 +6,7 @@ import pytest
 from anchorkit.assign import Assignment, match_baseline, match_two_step
 from anchorkit.geometry import AnchorConfig, Box, boxes_to_array, generate_anchors, pairwise_iou
 from anchorkit.gradcheck import check_multitask_loss, finite_diff, rel_err
-from anchorkit.loss import (
-    ZERO_POSITIVE_NEGATIVES,
-    multitask_loss,
-    ohem_select,
-    smooth_l1,
-    softmax_ce,
-)
+from anchorkit.loss import ZERO_POSITIVE_NEGATIVES, _ce_batch, multitask_loss, ohem_select, smooth_l1
 
 
 def make_assignment(labels):
@@ -46,6 +40,12 @@ class TestSmoothL1:
         assert v_in == pytest.approx(v_out, abs=1e-10)
 
 
+def softmax_ce(logits, label):
+    """One row's CE value and gradient from the batch kernel the loss uses."""
+    values, grads = _ce_batch(np.asarray(logits, dtype=np.float64)[None], np.array([label]))
+    return float(values[0]), grads[0]
+
+
 class TestSoftmaxCE:
     def test_symmetric_logits(self):
         value, grad = softmax_ce(np.array([0.0, 0.0]), 1)
@@ -64,11 +64,11 @@ class TestSoftmaxCE:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            logits = rng.normal(0, 2, size=2)
-            label = int(rng.integers(0, 2))
-            _, grad = softmax_ce(logits, label)
-            fd = finite_diff(lambda: softmax_ce(logits, label)[0], logits, h=1e-6)
-            np.testing.assert_allclose(grad, fd, atol=1e-6)
+            logits = rng.normal(0, 2, size=(5, 2))
+            labels = rng.integers(0, 2, size=5)
+            _, grads = _ce_batch(logits, labels)
+            fd = finite_diff(lambda: _ce_batch(logits, labels)[0].sum(), logits, h=1e-6)
+            np.testing.assert_allclose(grads, fd, atol=1e-6)
 
 
 class TestOhemSelect:
@@ -121,7 +121,7 @@ class TestOhemSelect:
         for a in (match_baseline(grid, gts), match_two_step(grid, gts)):
             np.testing.assert_array_equal(a.best_iou, want)
             n = len(grid)
-            out = multitask_loss(np.zeros((n, 2)), np.zeros((n, 4)), a, np.zeros((n, 4)))
+            out = multitask_loss(np.zeros((n, 2)), np.zeros((n, 4)), a, np.zeros((n, 4)), lam=4.0, ohem_ratio=3)
             assert out.selected_negatives.size and not np.any(want[out.selected_negatives] >= 0.3)
         assert not match_two_step(grid, []).best_iou.any()
 
@@ -133,7 +133,7 @@ class TestMultitaskLoss:
         logits = np.zeros((1, 2))
         offsets = np.array([[0.5, 0.0, 0.0, 0.0]])
         targets = np.zeros((1, 4))
-        out = multitask_loss(logits, offsets, assignment, targets, lam=4.0)
+        out = multitask_loss(logits, offsets, assignment, targets, lam=4.0, ohem_ratio=3)
         assert out.total == pytest.approx(math.log(2) + 4 * 0.125)
         assert out.cls_term == pytest.approx(math.log(2))
         assert out.reg_term == pytest.approx(0.125)
@@ -144,7 +144,7 @@ class TestMultitaskLoss:
         logits = np.array([[-20.0, 20.0], [20.0, -20.0], [20.0, -20.0]])
         offsets = np.ones((3, 4)) * 0.3
         targets = offsets.copy()
-        out = multitask_loss(logits, offsets, assignment, targets)
+        out = multitask_loss(logits, offsets, assignment, targets, lam=4.0, ohem_ratio=3)
         assert out.reg_term == 0.0
         assert out.total < 1e-10
 
@@ -157,6 +157,7 @@ class TestMultitaskLoss:
             assignment,
             rng.normal(size=(6, 4)),
             lam=4.0,
+            ohem_ratio=3,
         )
         assert out.total == pytest.approx(out.cls_term + 4.0 * out.reg_term)
         assert out.total >= 0.0
@@ -167,8 +168,8 @@ class TestMultitaskLoss:
         logits = rng.normal(size=(4, 2))
         offsets = rng.normal(size=(4, 4))
         targets = rng.normal(size=(4, 4))
-        a = multitask_loss(logits, offsets, assignment, targets, lam=2.0)
-        b = multitask_loss(logits, offsets, assignment, targets, lam=4.0)
+        a = multitask_loss(logits, offsets, assignment, targets, lam=2.0, ohem_ratio=3)
+        b = multitask_loss(logits, offsets, assignment, targets, lam=4.0, ohem_ratio=3)
         assert b.total - b.cls_term == pytest.approx(2 * (a.total - a.cls_term))
 
     def test_unselected_negatives_zero_grad(self):
@@ -180,6 +181,8 @@ class TestMultitaskLoss:
             rng.normal(size=(21, 4)),
             assignment,
             rng.normal(size=(21, 4)),
+            lam=4.0,
+            ohem_ratio=3,
         )
         counted = set(out.selected_negatives.tolist()) | {0}
         for i in range(21):
@@ -196,6 +199,8 @@ class TestMultitaskLoss:
             rng.normal(size=(40, 4)),
             assignment,
             np.zeros((40, 4)),
+            lam=4.0,
+            ohem_ratio=3,
         )
         assert out.reg_term == 0.0
         assert out.n_cls == ZERO_POSITIVE_NEGATIVES
@@ -204,7 +209,7 @@ class TestMultitaskLoss:
     def test_shape_mismatch_rejected(self):
         assignment = make_assignment([0, -1])
         with pytest.raises(ValueError, match="shape mismatch"):
-            multitask_loss(np.zeros((3, 2)), np.zeros((2, 4)), assignment, np.zeros((2, 4)))
+            multitask_loss(np.zeros((3, 2)), np.zeros((2, 4)), assignment, np.zeros((2, 4)), lam=4.0, ohem_ratio=3)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)

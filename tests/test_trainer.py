@@ -86,9 +86,13 @@ class TestTrain:
             train(net, [], TrainConfig())
 
     def test_bad_matcher_rejected(self):
-        net = build_network(NetConfig.toy(), seed=1)
         with pytest.raises(ValueError, match="matcher"):
-            train(net, small_pairs(), TrainConfig(epochs=1), matcher="fancy")
+            TrainConfig(epochs=1, matcher="fancy")
+
+    def test_augmentation_needs_square_anchor_config(self):
+        net = build_network(NetConfig.toy(image_w=64, image_h=96), seed=1)
+        with pytest.raises(ValueError, match="square"):
+            train(net, small_pairs(), TrainConfig(epochs=1))
 
     def test_divergence_aborts_with_step(self):
         net = build_network(NetConfig.toy(), seed=1)
@@ -143,8 +147,8 @@ class TestTrain:
         a = build_network(NetConfig.toy(), seed=9)
         b = build_network(NetConfig.toy(), seed=9)
         log_a, log_b = [], []
-        train(a, pairs, TrainConfig(epochs=1, seed=9), matcher="two_step", step_log=log_a)
-        train(b, pairs, TrainConfig(epochs=1, seed=9), matcher="baseline", step_log=log_b)
+        train(a, pairs, TrainConfig(epochs=1, seed=9, matcher="two_step"), step_log=log_a)
+        train(b, pairs, TrainConfig(epochs=1, seed=9, matcher="baseline"), step_log=log_b)
         pos_a = sum(s.n_pos for s in log_a)
         pos_b = sum(s.n_pos for s in log_b)
         assert pos_a >= pos_b  # the two-step rule only adds anchors
