@@ -159,7 +159,7 @@ def _check_inputs(grid: AnchorGrid, gts: Sequence[Box]) -> np.ndarray:
     return pairwise_iou(boxes_to_array(gts), grid.boxes)
 
 
-def match_baseline(grid: AnchorGrid, gts: Sequence[Box], iou_thresh: float = 0.5) -> Assignment:
+def match_baseline(grid: AnchorGrid, gts: Sequence[Box], iou_thresh: float) -> Assignment:
     """SSD-style reference matcher (best-anchor guarantee + threshold step)."""
     if not (0.0 < iou_thresh < 1.0):
         raise ValueError(f"iou_thresh must be in (0, 1), got {iou_thresh}")

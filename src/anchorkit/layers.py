@@ -92,8 +92,10 @@ worker; the calling thread runs the first, a lazily created module-level
 ``ThreadPoolExecutor`` the others, and the phase-plane fill is split the
 same way by input channels. The process's CPU affinity mask (``taskset``)
 is the only control; there is no option, environment variable or BLAS
-setting. The bits cannot depend on the worker count: blocks write
-disjoint output columns, each block runs the same GEMMs, bias add and
+setting. While the trainer's pool of forked processes runs, each of
+them takes an equal share of those cores (``_processes``). The bits
+cannot depend on the worker count: blocks write disjoint output
+columns, each block runs the same GEMMs, bias add and
 ReLU whichever thread runs it, and a block's edges move with the worker
 count only along the 16-column grid on which the bits were shown not to
 depend (above). Every run has its own block scratch, which the calling
@@ -257,12 +259,22 @@ def _block_width(c: int, o: int, itemsize: int) -> int:
     return max(cols, _BAND_ALIGN)
 
 
-def _workers() -> int:
-    """Threads a conv of several blocks runs on: the cores this process may use."""
+# Processes that share this process's cores. The trainer's pool sets it
+# while it runs, so that processes x conv threads stays within the cores.
+_processes = 1
+
+
+def _cores() -> int:
+    """The cores this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _workers() -> int:
+    """Threads a conv of several blocks runs on: this process's share of the cores."""
+    return max(1, _cores() // _processes)
 
 
 def _block_plan(n: int, c: int, o: int, itemsize: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
@@ -128,16 +128,12 @@ class NetConfig:
         return out
 
     @classmethod
-    def toy(
-        cls,
-        image_w: int = 64,
-        image_h: int = 64,
-        fusion: bool = True,
-        split_heads: bool = True,
-        head_channels: int = 64,
-        head_depth: int = 2,
-    ) -> "NetConfig":
-        """Two-tap desk-scale detector (strides 4 and 8)."""
+    def toy(cls, image_w: int = 64, image_h: int = 64, **heads: Any) -> "NetConfig":
+        """Two-tap desk-scale detector (strides 4 and 8).
+
+        ``heads`` sets other fields, such as ``fusion`` or ``head_depth``;
+        the rest keep their defaults.
+        """
         return cls(
             stages=(
                 StageSpec(1, 8, 1),
@@ -147,10 +143,7 @@ class NetConfig:
             ),
             taps=(2, 3),
             anchors=AnchorConfig.toy(image_w, image_h),
-            head_channels=head_channels,
-            head_depth=head_depth,
-            fusion=fusion,
-            split_heads=split_heads,
+            **heads,
         )
 
 

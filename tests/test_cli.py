@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import anchorkit as ak
 from anchorkit.cli import run
 from anchorkit.data import AugConfig
 from anchorkit.network import NetConfig, StageSpec, build_network, save_weights
@@ -186,6 +189,34 @@ def test_diverged_training_reports_step(tmp_path, capsys):
     assert code == 1
     assert re.search(r"^error: non-finite loss \S+ at step \d+$", err, re.M)
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_diverged_training_prints_no_numpy_warning(tmp_path):
+    # a separate process: pytest would catch the warnings before they reach stderr
+    src = Path(ak.__file__).resolve().parent.parent
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "anchorkit.cli", "train", "--out", str(tmp_path / "run"),
+         "--set", "train.lr=1e30", "--set", "train.epochs=2", "--train-n", "6"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr
+    assert re.fullmatch(r"error: non-finite loss \S+ at step \d+", done.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("key, field", [("loss.lambda", "lam"), ("loss.ohem_ratio", "ohem_ratio")])
+def test_zero_loss_weight_is_a_config_error(tmp_path, capsys, key, field):
+    rc = RunConfig()
+    rc.set(key, "0")
+    with pytest.raises(ConfigError, match=f"^train config: {field} must be"):
+        rc.build("train")
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--set", f"{key}=0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: train config: {field} must be") and "Traceback" not in err
     assert not out.exists()
 
 

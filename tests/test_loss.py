@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anchorkit.assign import Assignment, match_baseline, match_two_step
+from anchorkit.assign import Assignment, MatchConfig, match_baseline, match_two_step
 from anchorkit.geometry import AnchorConfig, Box, boxes_to_array, generate_anchors, pairwise_iou
 from anchorkit.gradcheck import check_multitask_loss, finite_diff, rel_err
 from anchorkit.loss import ZERO_POSITIVE_NEGATIVES, _ce_batch, multitask_loss, ohem_select, smooth_l1
@@ -118,7 +118,7 @@ class TestOhemSelect:
         grid = generate_anchors(AnchorConfig.toy())
         gts = [Box(10, 10, 30, 30), Box(40, 36, 52, 48)]
         want = pairwise_iou(boxes_to_array(gts), grid.boxes).max(axis=0)
-        for a in (match_baseline(grid, gts), match_two_step(grid, gts)):
+        for a in (match_baseline(grid, gts, MatchConfig().step1_iou), match_two_step(grid, gts)):
             np.testing.assert_array_equal(a.best_iou, want)
             n = len(grid)
             out = multitask_loss(np.zeros((n, 2)), np.zeros((n, 4)), a, np.zeros((n, 4)), lam=4.0, ohem_ratio=3)

@@ -1,4 +1,7 @@
+import contextlib
 import io
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import anchorkit as ak
 from anchorkit.network import NetConfig, build_network, forward_detect
 from anchorkit.pipeline import synth_pairs
-from anchorkit import trainer
+from anchorkit import layers, trainer
 from anchorkit.trainer import TrainConfig, TrainingDiverged, sgd_step, train
 
 
@@ -152,3 +155,138 @@ class TestTrain:
         pos_a = sum(s.n_pos for s in log_a)
         pos_b = sum(s.n_pos for s in log_b)
         assert pos_a >= pos_b  # the two-step rule only adds anchors
+
+
+def workers(n):
+    """Run train()'s pool as if this process could use ``n`` cores."""
+    return mock.patch.object(layers, "_cores", lambda: n)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks train() makes, one entry each."""
+    made = []
+    real = os.fork
+
+    def fork():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(trainer.os, "fork", fork)
+    return made
+
+
+@pytest.fixture(scope="module")
+def pairs13():
+    return small_pairs(13, seed=4)
+
+
+def poison(monkeypatch, pairs, position, error=None):
+    """Make the sample at ``position`` of epoch 0's first batch (seed 4) raise ``error``, or give NaN pixels."""
+    idx = int(trainer.sample_rng(4, trainer._SHUFFLE_STREAM, 0).permutation(len(pairs))[position])
+    bad = pairs[idx][0]
+    real = trainer.augment
+
+    def augment(image, *args):
+        out, boxes = real(image, *args)
+        if image is bad:
+            if error is not None:
+                raise error
+            out = np.full_like(out, np.nan)
+        return out, boxes
+
+    monkeypatch.setattr(trainer, "augment", augment)
+
+
+class TestPool:
+    """Batches split over forked workers (patched core counts) give the one-process bits.
+
+    The pool runs BLAS at one thread, and the one-process runs at the
+    process's own count, so at more than one BLAS thread these tests
+    also compare the two thread counts.
+    """
+
+    @pytest.mark.parametrize("batch_size, matcher", [(6, "two_step"), (5, "baseline"), (1, "two_step")])
+    def test_worker_count_changes_no_bit(self, pairs13, forks, batch_size, matcher):
+        # 13 pairs: batches of 5 and 6 split unevenly, and each epoch ends on a partial batch
+        runs = []
+        for n in (1, 2, 3):
+            net = build_network(NetConfig.toy(), seed=4)
+            arrays = {k: id(v) for k, v in net.params.items()}
+            log = []
+            with workers(n):
+                report = train(net, pairs13, TrainConfig(epochs=2, batch_size=batch_size, matcher=matcher, seed=4),
+                               step_log=log)
+            assert {k: id(v) for k, v in net.params.items()} == arrays
+            csv = io.StringIO()
+            report.to_csv(csv)
+            runs.append((log, report.epochs, csv.getvalue(), net.params))
+        assert len(forks) == (0 if batch_size == 1 else 1 + 2)
+        log, epochs, csv, params = runs[0]
+        assert len(log) == 26
+        for other in runs[1:]:
+            assert other[:3] == (log, epochs, csv)
+            for k in params:
+                np.testing.assert_array_equal(other[3][k], params[k])
+
+    def test_processes_share_the_conv_threads(self, pairs13, monkeypatch):
+        seen = []
+        real = trainer.forward_detect
+
+        def forward(*args, **kwargs):
+            seen.append(layers._workers())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward_detect", forward)
+        with workers(4):  # batch 2: two processes, two conv threads each
+            train(build_network(NetConfig.toy(), seed=4), pairs13, TrainConfig(epochs=1, batch_size=2, seed=4))
+            assert layers._workers() == 4
+        assert set(seen) == {2}
+
+    def test_divergence_in_a_worker_raises_the_inline_step(self, pairs13, monkeypatch, forks):
+        poison(monkeypatch, pairs13, 4)
+        steps, logs = [], []
+        for n in (1, 2, 3):
+            log = []
+            with workers(n), pytest.raises(TrainingDiverged) as info:
+                train(build_network(NetConfig.toy(), seed=4), pairs13, TrainConfig(epochs=1, seed=4), step_log=log)
+            steps.append(info.value.step)
+            logs.append(log)
+        assert steps == [4, 4, 4] and logs[0] == logs[1] == logs[2] and len(logs[0]) == 4
+        assert forks
+
+    def test_worker_error_comes_back_in_sample_order(self, pairs13, monkeypatch, forks):
+        poison(monkeypatch, pairs13, 5, ValueError("sample 5 is bad"))
+        logs = []
+        for n in (1, 2):
+            log = []
+            with workers(n), pytest.raises(ValueError, match="^sample 5 is bad$"):
+                train(build_network(NetConfig.toy(), seed=4), pairs13, TrainConfig(epochs=1, seed=4), step_log=log)
+            logs.append(log)
+        assert logs[0] == logs[1] and len(logs[0]) == 5
+        assert forks
+
+    @pytest.mark.parametrize("ending", ["return", "diverged", "worker error", "early stop", "callback error",
+                                        "interrupt"])
+    def test_no_process_is_left(self, pairs13, monkeypatch, forks, children, ending):
+        before = children()
+        threads = trainer._blas_threads()[0]()
+        callback = None
+        raises = {"diverged": TrainingDiverged, "worker error": ValueError, "callback error": OSError,
+                  "interrupt": KeyboardInterrupt}.get(ending)
+        if ending == "diverged":
+            poison(monkeypatch, pairs13, 4)
+        elif ending == "worker error":
+            poison(monkeypatch, pairs13, 4, ValueError("bad"))
+        elif ending == "early stop":
+            callback = lambda epoch, net, stats: True  # noqa: E731
+        elif ending in ("callback error", "interrupt"):
+            def callback(epoch, net, stats):
+                raise raises()
+        net = build_network(NetConfig.toy(), seed=4)
+        with workers(2), pytest.raises(raises) if raises else contextlib.nullcontext():
+            report = train(net, pairs13, TrainConfig(epochs=2, seed=4), epoch_callback=callback)
+            assert len(report.epochs) == (1 if ending == "early stop" else 2)
+        assert len(forks) == 1
+        assert children() == before
+        assert layers._processes == 1 and trainer._blas_threads()[0]() == threads
