@@ -49,6 +49,14 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"expected WxH (e.g. 640x640), got {text!r}") from e
 
 
+def _require_counts(args: argparse.Namespace, *flags: str) -> None:
+    """Raise ConfigError naming the first of ``flags`` whose count is below 1."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     rc = RunConfig()
     if getattr(args, "config", None):
@@ -186,6 +194,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _require_counts(args, "--n")
     rc = _load_run_config(args)
     images, gts = synth_dataset(rc.build("synth"), args.n, args.seed)
     out = Path(args.out)
@@ -218,6 +227,7 @@ def _load_image_dir(directory: Path) -> dict[str, np.ndarray]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _require_counts(args, "--train-n", "--val-n")
     rc = _load_run_config(args)
     if args.epochs is not None:
         rc.set("train.epochs", str(args.epochs))
@@ -295,6 +305,7 @@ def _check_weights(params: dict[str, np.ndarray], expected: dict[str, np.ndarray
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    _require_counts(args, "--synth-n")
     rc = _load_run_config(args)
     net_cfg = rc.build("net")
     with Path(args.weights).open("rb") as fh:

@@ -92,8 +92,9 @@ worker; the calling thread runs the first, a lazily created module-level
 ``ThreadPoolExecutor`` the others, and the phase-plane fill is split the
 same way by input channels. The process's CPU affinity mask (``taskset``)
 is the only control; there is no option, environment variable or BLAS
-setting. While the trainer's pool of forked processes runs, each of
-them takes an equal share of those cores (``_processes``). The bits
+setting. While a pool of forked processes runs (training's or
+detection's, ``forkpool``), each of them takes an equal share of those
+cores (``_processes``). The bits
 cannot depend on the worker count: blocks write disjoint output
 columns, each block runs the same GEMMs, bias add and
 ReLU whichever thread runs it, and a block's edges move with the worker
@@ -259,7 +260,7 @@ def _block_width(c: int, o: int, itemsize: int) -> int:
     return max(cols, _BAND_ALIGN)
 
 
-# Processes that share this process's cores. The trainer's pool sets it
+# Processes that share this process's cores. A forkpool pool sets it
 # while it runs, so that processes x conv threads stays within the cores.
 _processes = 1
 

@@ -2,12 +2,28 @@
 
 Used by the CLI subcommands and by the acceptance harness so both run
 the exact same code paths.
+
+:func:`detect_images` runs a collection of images on one process per
+usable core, ``min(cores, images)``: the images are split into
+contiguous runs in key order, the calling process runs the first and
+processes forked for the call (:mod:`anchorkit.forkpool`) run the
+others, each sending back only its ``{key: detections}``. Each image's
+arithmetic is the one-process arithmetic, so the detections are
+bit-identical and come back in the input's key order. One image, or
+one core, runs in the calling process and forks nothing. Sixteen toy
+images per call (``validation_ap``) went from 138 to 175 images/s on 2
+cores (medians of 10 runs each, 1 BLAS thread, 2-core Xeon): a fork
+costs about 1.3 ms, and a worker's run of 8 images took about 75 ms
+against the caller's 57 ms (a fresh worker takes about 1,000
+copy-on-write page faults on its first run), so 2 cores give about
+1.3x rather than 2x.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import forkpool
 from .data import SynthConfig, synth_dataset
 from .decode import DecodeConfig, Detection, decode_improved
 from .evalkit import GroundTruthSet, evaluate_ap
@@ -44,7 +60,12 @@ def detect_images(
 
     The forward regresses only the map rows that hold anchors above the
     decode gate (see :func:`forward_detect`). Every image must have the
-    size the net's anchors were laid out for.
+    size the net's anchors were laid out for; that is checked before
+    anything runs. The images run on ``forkpool.size(len(images))``
+    processes, in contiguous runs in key order (see the module
+    docstring); a single image runs inline. The result lists the keys in
+    the input's order, and an image's exception is raised where the
+    image stands in that order, as a one-process loop would raise it.
     """
     decode_cfg = decode_cfg or DecodeConfig()
     anchors = net.config.anchors
@@ -56,10 +77,33 @@ def detect_images(
                 f"the net's anchors are laid out for {anchors.image_w}x{anchors.image_h}"
             )
     grid = generate_anchors(anchors)
-    out: dict[str, list[Detection]] = {}
-    for key in images:
-        raw = forward_detect(net, images[key], gate=decode_cfg.score_threshold)
-        out[key] = decode_improved(raw, grid, decode_cfg).detections
+
+    def detect(run: list[str]) -> dict[str, list[Detection]]:
+        return {
+            key: decode_improved(forward_detect(net, images[key], gate=decode_cfg.score_threshold), grid,
+                                 decode_cfg).detections
+            for key in run
+        }
+
+    keys = list(images)
+    size = forkpool.size(len(keys))
+    edges = [k * len(keys) // size for k in range(size + 1)]
+    runs = [keys[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+    def serve(conn, k: int) -> None:
+        try:
+            reply = detect(runs[k])
+        except Exception as exc:
+            reply = forkpool.portable(exc)
+        conn.send(reply)
+
+    with forkpool.workers(size, serve) as workers:
+        out = detect(runs[0])
+        for worker in workers:
+            reply = worker.recv()
+            if isinstance(reply, BaseException):
+                raise reply
+            out.update(reply)
     return out
 
 
@@ -70,6 +114,13 @@ def validation_ap(
     decode_cfg: DecodeConfig | None = None,
     iou_thresh: float = 0.5,
 ) -> float:
+    """AP at ``iou_thresh`` of :func:`detect_images` over ``val_images`` against ``val_gts``.
+
+    The images run on the detection pool (one process per usable core),
+    also inside a training run's ``epoch_callback``: there the training
+    workers wait for their next batch, and the pool gives back the
+    caller's conv-thread share and BLAS thread count when it is done.
+    """
     dets = detect_images(net, val_images, decode_cfg)
     ap, _ = evaluate_ap(dets, val_gts, iou_thresh)
     return ap

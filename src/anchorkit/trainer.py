@@ -14,16 +14,12 @@ and per-sample augmentation draw from generator streams derived from
 (seed, epoch, index), so reruns are bit-identical.
 
 A batch's samples are independent until their gradients are summed, so
-each batch runs on one process per usable core, ``min(cores, batch_size)``
-with the cores counted as the conv threads count them
-(``os.sched_getaffinity(0)``); the affinity mask is the only control.
-The batch is split into contiguous runs of samples. The calling process
-runs the first, and processes forked at the start of :func:`train` run
-the others; they inherit the net, the data, the configs and any patched
-module attribute, and they exit when :func:`train` returns or raises.
-They are forked rather than spawned so that none of that is pickled or
-imported again; the only threads the package starts, the conv pool's,
-wait idle between convs and are dropped in a forked child.
+each batch is split into contiguous runs of samples over one process per
+usable core, ``min(cores, batch_size)``. The calling process runs the
+first run, and processes forked at the start of :func:`train` run the
+others; they exit when :func:`train` returns or raises. How they are
+forked, sized, pinned to one BLAS thread and waited for is
+:mod:`anchorkit.forkpool`'s, shared with detection.
 Before each update the parameters are copied into an anonymous shared
 mapping that the workers copy from (the net's own arrays stay the same
 objects), and each worker writes a sample's gradients into that
@@ -31,34 +27,22 @@ sample's slot of the mapping. Only loss terms and exceptions travel on
 the pipes. The calling process then adds the gradients in sample order,
 the same float additions as one process makes, so losses, step logs,
 the diverged step, errors and weights are bit-identical for any worker
-count. BLAS runs at one thread in every process while the pool runs:
-OpenBLAS's threads on top of the processes oversubscribe the cores.
-Three toy epochs of 24 pairs at batch 6 took 1.6-2.4 s in one process
-at 2 BLAS threads, 4.3-10.8 s on 2 processes at 2 BLAS threads and
-1.0-1.3 s on 2 processes at one (2-core Xeon, 6 runs each). Where the thread count of numpy's bundled OpenBLAS
-cannot be read and set, training runs in the calling process alone, as
-it does for one worker. Each sample's arithmetic runs with numpy's
+count. Each sample's arithmetic runs with numpy's
 overflow and invalid warnings off: the loss's finiteness check reports
 a divergence once, in the calling process.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import mmap
-import os
-import pickle
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing.connection import Pipe
-from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import layers
+from . import forkpool
 from .assign import MatchConfig, encode_targets, match_baseline, match_two_step
 from .data import AugConfig, augment, sample_rng
 from .geometry import Box, generate_anchors
@@ -202,22 +186,6 @@ def _sample(net, data, grid, tc, match_cfg, aug_cfg, epoch: int, idx: int):
         return terms, backward(out.grad_logits, out.grad_offsets)
 
 
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if there is none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
-
-
 class _Shared:
     """Arrays shaped like ``params`` in an anonymous mapping that forked processes share.
 
@@ -240,53 +208,33 @@ class _Shared:
         self.params = self.grads[0]
 
 
-def _portable(exc: Exception) -> Exception:
-    """``exc`` if it survives the pipe, else a RuntimeError naming its type and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _serve(conn, others, sample, params: dict[str, np.ndarray], shared: _Shared, blas) -> None:
-    """A forked worker: run the samples it is sent until its pipe closes, then ``os._exit``.
+def _serve(sample, params: dict[str, np.ndarray], shared: _Shared, conn, k: int) -> None:
+    """A forked worker's loop: run the samples it is sent until its pipe closes.
 
     Each message is (epoch, position of the run's first sample, sample
     indices). The reply lists the samples' loss terms, ending early at a
     non-finite loss or with the exception a sample raised; gradients go
-    to the samples' slots. The worker never returns into its caller, so
-    no test runner or exit handler of the parent runs twice.
+    to the samples' slots.
     """
-    code = 0
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process handles ^C
-        for other in others:
-            other.close()
-        blas[1](1)
-        while True:
-            try:
-                epoch, first, idxs = conn.recv()
-            except EOFError:
-                break
-            for k, v in params.items():
-                np.copyto(v, shared.params[k])
-            reply = []
-            try:
-                for pos, idx in enumerate(idxs, first):
-                    terms, grads = sample(epoch, idx)
-                    reply.append(terms)
-                    if grads is None:
-                        break
-                    for k, g in grads.items():
-                        shared.grads[pos][k][...] = g
-            except Exception as exc:
-                reply.append(_portable(exc))
-            conn.send(reply)
-    except BaseException:  # not re-raised: the worker only ever leaves through os._exit
-        code = 1
-    finally:
-        os._exit(code)
+    while True:
+        try:
+            epoch, first, idxs = conn.recv()
+        except EOFError:
+            return
+        for key, v in params.items():
+            np.copyto(v, shared.params[key])
+        reply = []
+        try:
+            for pos, idx in enumerate(idxs, first):
+                terms, grads = sample(epoch, idx)
+                reply.append(terms)
+                if grads is None:
+                    break
+                for key, g in grads.items():
+                    shared.grads[pos][key][...] = g
+        except Exception as exc:
+            reply.append(forkpool.portable(exc))
+        conn.send(reply)
 
 
 @contextmanager
@@ -294,62 +242,36 @@ def _batches(sample, params: dict[str, np.ndarray], largest: int):
     """Yield ``run(epoch, batch)``, which yields each sample's (terms, grads) in batch order.
 
     ``largest`` is the most samples a batch holds. With more than one
-    worker, ``min(cores, largest)`` (see the module docstring), the later runs
-    of samples go to forked workers, and a worker's exception is raised
-    where its sample stands in the batch. On exit every pipe is closed
-    and every worker waited for, and BLAS gets its thread count back.
+    process, ``forkpool.size(largest)``, the later runs of samples go to
+    forked workers, and a worker's exception is raised where its sample
+    stands in the batch.
     """
-    size = min(layers._cores(), largest)
-    blas = _blas_threads() if size > 1 and hasattr(os, "fork") else None
-    if blas is None:
+    size = forkpool.size(largest)
+    if size == 1:
         yield lambda epoch, batch: (sample(epoch, int(idx)) for idx in batch)
         return
 
-    threads = blas[0]()
     shared = _Shared(params, largest)
-    conns: list = []
-    pids: list[int] = []
+    with forkpool.workers(size, functools.partial(_serve, sample, params, shared)) as pool:
 
-    def run(epoch: int, batch):
-        n = len(batch)
-        parts = min(size, n)
-        edges = [k * n // parts for k in range(parts + 1)]
-        if parts > 1:
-            for k, v in params.items():
-                np.copyto(shared.params[k], v)
-            for conn, lo, hi in zip(conns, edges[1:], edges[2:]):
-                conn.send((epoch, lo, [int(i) for i in batch[lo:hi]]))
-        for idx in batch[: edges[1]]:
-            yield sample(epoch, int(idx))
-        for pid, conn, lo in zip(pids, conns, edges[1:-1]):
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                raise RuntimeError(f"training worker {pid} exited during a batch") from None
-            for pos, terms in enumerate(reply, lo):
-                if isinstance(terms, BaseException):
-                    raise terms
-                yield terms, shared.grads[pos]
+        def run(epoch: int, batch):
+            n = len(batch)
+            parts = min(size, n)
+            edges = [k * n // parts for k in range(parts + 1)]
+            if parts > 1:
+                for k, v in params.items():
+                    np.copyto(shared.params[k], v)
+                for worker, lo, hi in zip(pool, edges[1:], edges[2:]):
+                    worker.conn.send((epoch, lo, [int(i) for i in batch[lo:hi]]))
+            for idx in batch[: edges[1]]:
+                yield sample(epoch, int(idx))
+            for worker, lo in zip(pool, edges[1:-1]):
+                for pos, terms in enumerate(worker.recv(), lo):
+                    if isinstance(terms, BaseException):
+                        raise terms
+                    yield terms, shared.grads[pos]
 
-    try:
-        blas[1](1)
-        layers._processes = size
-        for _ in range(size - 1):
-            mine, theirs = Pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve(theirs, [mine, *conns], sample, params, shared, blas)
-            theirs.close()
-            conns.append(mine)
-            pids.append(pid)
         yield run
-    finally:
-        for conn in conns:
-            conn.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-        layers._processes = 1
-        blas[1](threads)
 
 
 def train(

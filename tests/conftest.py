@@ -37,3 +37,17 @@ def no_leaked_children():
 def children():
     """The function that lists this process's child pids."""
     return child_pids
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks made while a test runs, one entry each."""
+    made = []
+    real = os.fork
+
+    def fork():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made

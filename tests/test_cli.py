@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import anchorkit as ak
+from anchorkit import cli
 from anchorkit.cli import run
 from anchorkit.data import AugConfig
 from anchorkit.network import NetConfig, StageSpec, build_network, save_weights
@@ -218,6 +219,23 @@ def test_zero_loss_weight_is_a_config_error(tmp_path, capsys, key, field):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: train config: {field} must be") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["train", "--train-n", "4", "--val-n", "0", "--target-ap", "0.5", "--epochs", "1"], "--val-n", "0"),
+    (["train", "--train-n", "-2"], "--train-n", "-2"),
+    (["detect", "--synth-n", "-3", "--weights", "w.bin"], "--synth-n", "-3"),
+    (["synth", "--n", "0"], "--n", "0"),
+])
+def test_count_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, args, flag, value):
+    made = []
+    for name in ("synth_dataset", "synth_pairs", "train", "load_weights"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: made.append(_name))
+    out = tmp_path / "out"
+    assert run([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {flag} must be >= 1, got {value}\n"
+    assert made == [] and not out.exists()
 
 
 def test_detect_truncated_weights_reports_error(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import os
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 import anchorkit as ak
 from anchorkit.network import NetConfig, build_network, forward_detect
 from anchorkit.pipeline import synth_pairs
-from anchorkit import layers, trainer
+from anchorkit import forkpool, layers, trainer
 from anchorkit.trainer import TrainConfig, TrainingDiverged, sgd_step, train
 
 
@@ -162,20 +161,6 @@ def workers(n):
     return mock.patch.object(layers, "_cores", lambda: n)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The forks train() makes, one entry each."""
-    made = []
-    real = os.fork
-
-    def fork():
-        made.append(1)
-        return real()
-
-    monkeypatch.setattr(trainer.os, "fork", fork)
-    return made
-
-
 @pytest.fixture(scope="module")
 def pairs13():
     return small_pairs(13, seed=4)
@@ -270,7 +255,7 @@ class TestPool:
                                         "interrupt"])
     def test_no_process_is_left(self, pairs13, monkeypatch, forks, children, ending):
         before = children()
-        threads = trainer._blas_threads()[0]()
+        threads = forkpool.blas_threads()[0]()
         callback = None
         raises = {"diverged": TrainingDiverged, "worker error": ValueError, "callback error": OSError,
                   "interrupt": KeyboardInterrupt}.get(ending)
@@ -289,4 +274,4 @@ class TestPool:
             assert len(report.epochs) == (1 if ending == "early stop" else 2)
         assert len(forks) == 1
         assert children() == before
-        assert layers._processes == 1 and trainer._blas_threads()[0]() == threads
+        assert layers._processes == 1 and forkpool.blas_threads()[0]() == threads
