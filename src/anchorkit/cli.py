@@ -49,6 +49,17 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"expected WxH (e.g. 640x640), got {text!r}") from e
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma-separated integers of ``flag``; ConfigError names the flag and a bad token."""
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ConfigError(f"{flag}: {token.strip()!r} is not an integer") from None
+    return out
+
+
 def _require_counts(args: argparse.Namespace, *flags: str) -> None:
     """Raise ConfigError naming the first of ``flags`` whose count is below 1."""
     for flag in flags:
@@ -81,8 +92,11 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     if args.strides or args.sizes:
         if not (args.strides and args.sizes):
             raise ConfigError("--strides and --sizes must be given together")
-        strides = [int(v) for v in args.strides.split(",")]
-        sizes = [int(v) for v in args.sizes.split(",")]
+        strides, sizes = _int_list("--strides", args.strides), _int_list("--sizes", args.sizes)
+        if len(strides) != len(sizes):
+            raise ConfigError(
+                f"--strides and --sizes must have the same length, got {len(strides)} and {len(sizes)}"
+            )
         layers = tuple(zip(strides, sizes))
     else:
         layers = AnchorConfig().layers  # stock 6-layer scheme
@@ -123,10 +137,12 @@ def cmd_rf(args: argparse.Namespace) -> int:
         stack = []
         for token in args.stack.split(","):
             token = token.strip().lower()
-            if "s" not in token:
-                raise ConfigError(f"bad layer {token!r}: expected '<kernel>s<stride>'")
-            k, s = token.split("s", 1)
-            stack.append(LayerSpec(kernel=int(k), stride=int(s)))
+            k, _, s = token.partition("s")
+            try:
+                kernel, stride = int(k), int(s)
+            except ValueError:
+                raise ConfigError(f"--stack: bad layer {token!r}: expected '<kernel>s<stride>'") from None
+            stack.append(LayerSpec(kernel=kernel, stride=stride))
         info = receptive_field(stack)
         print(f"{'layer':<16}{'kernel':>7}{'stride':>7}{'rf':>6}{'jump':>6}")
         for name, k, s, rf, jump in info.trace:
@@ -241,6 +257,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             (data_dir / "annotations.txt").read_text()
         )
         truth = annotations_to_ground_truth(records)
+        for rec in records:
+            if rec.image_path not in images:
+                raise ValueError(f"annotations.txt names {rec.image_path!r}, which is not an image in {data_dir}")
         pairs = [
             (images[rec.image_path],
              [b for b, ig in zip(truth.boxes[rec.image_path], truth.ignore[rec.image_path]) if not ig])
@@ -281,11 +300,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 )
     (out / "config.cfg").write_text(rc.to_text())
     write_manifest(out, "train", rc, args.seed)
-    last = report.epochs[-1]
-    print(
-        f"trained {len(report.epochs)} epochs "
-        f"(final loss {last.mean_total:.4f}); wrote {out}"
-    )
+    loss = f" (final loss {report.epochs[-1].mean_total:.4f})" if report.epochs else ""
+    print(f"trained {len(report.epochs)} epochs{loss}; wrote {out}")
     return 0
 
 

@@ -419,7 +419,6 @@ class AugConfig:
     crop_ratio_max: float = 1.0
     hflip_prob: float = 0.5
     brightness_jitter: float = 0.1
-    min_box_retained: float = 0.5  # drop boxes keeping less area than this
 
     def __post_init__(self) -> None:
         if not (0.0 < self.crop_ratio_min <= self.crop_ratio_max <= 1.0):
@@ -429,14 +428,18 @@ class AugConfig:
             )
 
 
-def _crop_boxes(boxes: Sequence[Box], x0: float, y0: float, side: float, min_retained: float) -> list[Box]:
+# A crop drops a box that keeps less than this share of its area.
+_MIN_BOX_RETAINED = 0.5
+
+
+def _crop_boxes(boxes: Sequence[Box], x0: float, y0: float, side: float) -> list[Box]:
     out = []
     for b in boxes:
         nx1, ny1 = max(b.x1 - x0, 0.0), max(b.y1 - y0, 0.0)
         nx2, ny2 = min(b.x2 - x0, side), min(b.y2 - y0, side)
         if nx2 <= nx1 or ny2 <= ny1:
             continue
-        if (nx2 - nx1) * (ny2 - ny1) < min_retained * b.area:
+        if (nx2 - nx1) * (ny2 - ny1) < _MIN_BOX_RETAINED * b.area:
             continue
         out.append(Box(nx1, ny1, nx2, ny2))
     return out
@@ -473,13 +476,13 @@ def augment(
         side = max(1, int(round(ratio * short)))
         x0 = int(rng.integers(0, w - side + 1))
         y0 = int(rng.integers(0, h - side + 1))
-        boxes = _crop_boxes(gts, x0, y0, side, cfg.min_box_retained)
+        boxes = _crop_boxes(gts, x0, y0, side)
         if boxes or not gts:
             break
     else:
         side = short
         x0, y0 = (w - side) // 2, (h - side) // 2
-        boxes = _crop_boxes(gts, x0, y0, side, cfg.min_box_retained)
+        boxes = _crop_boxes(gts, x0, y0, side)
 
     patch = image[:, y0 : y0 + side, x0 : x0 + side]
     out = _nearest_resize(patch, size).astype(np.float32)

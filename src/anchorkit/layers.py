@@ -15,21 +15,26 @@ without a copy. The output is computed on an (h_out, wq) grid of
 n = h_out * wq columns; its wq - w_out right-hand columns wrap into the
 next row, so forward cuts them and backward feeds them a zero gradient.
 
-The grid is computed in column blocks. A cache block is
+The grid is computed in column blocks fixed by the conv's shape and the
+number of usable cores (``_blocks``). A cache block is
 ``_BLOCK_BYTES // (itemsize * (C + 2 * O))`` columns, rounded down to a
-multiple of ``_BAND_ALIGN`` (16), so that its input slice, its partial
-sum and its output slice stay in L2 (2 MiB per core on the Xeon it was
-tuned on). A grid longer than one cache block is cut into a number of
-blocks that is a multiple of the worker count (below), of equal widths
-rounded up to 16 columns: an 80x80 map at 64 -> 64 channels runs as 6
-blocks of 1,104 columns rather than 5 of 1,360, the last one short, and
-a 40x40 map as 848 + 832 rather than 1,360 + 320. Timed alone at 2
-workers, the equal widths took 29.2 / 7.8 / 2.7 ms for 160/80/40-pixel
-maps against 30.1 / 8.5 / 3.5 ms (faster in 8, 10 and 12 of 12 rotated
-rounds). Block edges sit at multiples of the block width counted from
-grid column 0. Inputs with at least ``_STACK_BELOW_CHANNELS`` (16)
-channels run one GEMM per tap into the block, ``W[:, :, i, j] @ slice``,
-and sum them there. Thinner inputs (the 1-channel stem, the 8-channel
+multiple of ``_ALIGN`` (16), so that its input slice, its partial sum
+and its output slice stay in L2 (2 MiB per core on the Xeon it was tuned
+on). A grid of one cache block is one block. A longer grid is cut into
+ceil(n / cache block) blocks, that count rounded up to a multiple of the
+usable cores (below), of equal widths rounded up to 16 columns and
+counted from grid column 0: an 80x80 map at 64 -> 64 channels on 2 cores
+runs as 6 blocks of 1,104 columns rather than 5 of 1,360, the last one
+short, and a 40x40 map as 848 + 832 rather than 1,360 + 320. Timed alone
+at 2 workers, the equal widths took 29.2 / 7.8 / 2.7 ms for
+160/80/40-pixel maps against 30.1 / 8.5 / 3.5 ms (faster in 8, 10 and 12
+of 12 rotated rounds). The rounding to 16 columns is for speed alone,
+and the evidence is mixed: in-process on sparse 640x640 detection,
+unaligned equal widths were slower in 5 of 5 pairs in one session (219
+against 202 ms per image) and faster in 10 of 16 rounds in another (137
+against 140 ms). Inputs with at least
+``_STACK_BELOW_CHANNELS`` (16) channels run one GEMM per tap into the
+block, ``W[:, :, i, j] @ slice``, and sum them there. Thinner inputs (the 1-channel stem, the 8-channel
 stride-2 conv) stack one block's tap slices into a (C*kh*kw, block)
 operand and run a single GEMM: per tap their product has K = C, and each
 tap's partial sum costs more memory traffic than copying the thin input
@@ -72,18 +77,15 @@ bit-identical to it: float64 outputs match the loop oracle within 1e-12
 outputs (up to about 7 in magnitude) differ from im2col by at most
 about 4e-6. Reruns are byte-identical.
 
-Blocking does not change a bit, by measurement rather than by
-construction: OpenBLAS's sgemm (SkylakeX kernels, 0.3.31) gives a column
-slice of a product the full product's bits when the slice starts and
-ends on multiples of 16 columns. On a 160x160 map with C = 64, slices
-with unaligned start and length differed from the full product in 10 of
-24 draws at O = 4 and 5 of 24 at O = 64, and aligned ones in none. A
-grid whose length is not a multiple of 16 ends on a partial 16, and a
-slice ending there differed whenever it was narrow (every width up to
-232 columns at O = C = 64; 20x20 map, 440 columns, cut into 336 + 104).
-Such grids therefore run as one block, which is the unblocked product.
-On the 640x640 net they are taps 3-5 (440, 120 and 35 columns) and the
-80 -> 40 stride-2 conv (1,640 columns), all under one block anyway.
+An output column's bits come from its block's calls alone: GEMMs of
+fixed widths at fixed column offsets, then the adds, bias add and ReLU
+in a fixed order. So they cannot depend on the worker count, on which
+worker runs the block, or on whether other blocks run at all (a banded
+conv, below): reproducibility by a fixed order of operations (Demmel and
+Nguyen 2013), which asks of the BLAS only that a call repeat its bits
+and compute each output column from its own operand column. A blocked
+grid need not match one unblocked GEMM to the bit, nor a machine with
+another core count, whose block edges differ.
 
 A grid of several blocks runs on one worker thread per usable core,
 ``len(os.sched_getaffinity(0))`` (``os.cpu_count()`` where there is no
@@ -94,14 +96,11 @@ same way by input channels. The process's CPU affinity mask (``taskset``)
 is the only control; there is no option, environment variable or BLAS
 setting. While a pool of forked processes runs (training's or
 detection's, ``forkpool``), each of them takes an equal share of those
-cores (``_processes``). The bits
-cannot depend on the worker count: blocks write disjoint output
-columns, each block runs the same GEMMs, bias add and
-ReLU whichever thread runs it, and a block's edges move with the worker
-count only along the 16-column grid on which the bits were shown not to
-depend (above). Every run has its own block scratch, which the calling
-thread takes before it dispatches, so a :class:`Workspace` is still
-touched by the calling thread alone. A grid of one block, every conv of
+cores (``_processes``), while the blocks stay those of all the usable
+cores, so the bits are the same in a pool as outside it. Blocks write
+disjoint output columns. Every run has its own block scratch, which the
+calling thread takes before it dispatches, so a :class:`Workspace` is
+still touched by the calling thread alone. A grid of one block, every conv of
 the toy net among them, runs inline and submits nothing. numpy releases
 the GIL inside the GEMMs and the copies, so the workers overlap. They
 are no BLAS thread setting in disguise: a 160x160 64 -> 64 conv took
@@ -113,12 +112,11 @@ oversubscribe the cores. A forked child drops the pool it inherited,
 whose threads do not exist in it, and builds a new one on first use.
 
 A gated detection forward asks conv2d for some output rows only
-(``rows``). Each row interval becomes a range of grid columns, rounded
-outward to multiples of 16 columns, cut at the same block edges as the
-full grid, and only the input rows those columns read are copied into
-the phase planes. Requested rows are then the full output's bits, on
-the rule above; grids whose length is not a multiple of 16 run whole,
-as does a request covering the whole grid.
+(``rows``). conv2d computes the blocks that hold a column of those rows,
+whole (``_touched``), and copies into the phase planes only the input
+rows those blocks read. Requested rows are then the full output's bits
+by the argument above; a request that touches every block is the full
+conv.
 
 An inference forward passes a :class:`Workspace`: conv2d then takes its
 phase planes, block scratch and output from the workspace's named
@@ -134,8 +132,11 @@ top frame (offsets below wq + 1), each grid row's two wrapped columns
 (they land on the right pad of their row and the left pad of the next),
 and the bottom row with the tail. Everything else is grid column for
 grid column the values the successor's fill would have copied, so its
-bits are the same. A banded producer writes only its bands, and the
-successor's bands read only those, as with a fill. Without the
+bits are the same. A banded producer writes only its blocks. The
+successor's requested rows read only rows the producer was asked for,
+since a branch widens each conv's rows by the halo of the convs after
+it; its blocks' other columns may read unwritten plane, which reaches
+only outputs outside the requested rows. Without the
 reuse, each 640x640 image mapped and faulted its largest maps afresh
 (about 6,700 minor page faults and 25 ms of system time per sparse
 image, against 80-240 and about 1 ms for the unblocked convs); with it,
@@ -168,10 +169,9 @@ __all__ = [
 # BLAS; those convs stack the tap slices into one GEMM instead.
 _STACK_BELOW_CHANNELS = 16
 
-# Column blocks and the row bands of a banded conv start and end on
-# multiples of this many grid columns, where OpenBLAS's sgemm gives the
-# full product's bits.
-_BAND_ALIGN = 16
+# Block widths are rounded up to a multiple of this many grid columns, for
+# speed only (see the module docstring for the mixed timings).
+_ALIGN = 16
 
 # A conv sums its tap GEMMs over column blocks whose input, partial-sum and
 # output slices take about this many bytes, so they stay in L2.
@@ -208,27 +208,6 @@ def _grid(planes: np.ndarray, s: int, hq: int, wq: int) -> np.ndarray:
     return planes[:, :, : hq * wq].reshape(s * s, planes.shape[1], hq, wq)
 
 
-def _column_spans(rows: list[tuple[int, int]], wq: int, n: int) -> list[tuple[int, int]] | None:
-    """Grid column ranges covering the output-row intervals ``rows``.
-
-    Each interval becomes a range of the flattened (h_out, wq) grid,
-    rounded outward to multiples of ``_BAND_ALIGN`` columns; overlapping
-    ranges merge. Returns None, meaning "run the whole grid", when the
-    ranges cover it or when ``n`` is not a multiple of ``_BAND_ALIGN``.
-    """
-    if n % _BAND_ALIGN:
-        return None
-    spans: list[tuple[int, int]] = []
-    for lo, hi in rows:
-        c0 = lo * wq // _BAND_ALIGN * _BAND_ALIGN
-        c1 = min(n, -(-hi * wq // _BAND_ALIGN) * _BAND_ALIGN)
-        if spans and c0 <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(c1, spans[-1][1]))
-        else:
-            spans.append((c0, c1))
-    return None if spans == [(0, n)] else spans
-
-
 class Workspace:
     """Named buffers that conv2d reuses from call to call instead of allocating.
 
@@ -256,8 +235,8 @@ def _empty(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 def _block_width(c: int, o: int, itemsize: int) -> int:
     """Grid columns per block: its input, partial-sum and output slices fill ``_BLOCK_BYTES``."""
-    cols = _BLOCK_BYTES // (itemsize * (c + 2 * o)) // _BAND_ALIGN * _BAND_ALIGN
-    return max(cols, _BAND_ALIGN)
+    cols = _BLOCK_BYTES // (itemsize * (c + 2 * o)) // _ALIGN * _ALIGN
+    return max(cols, _ALIGN)
 
 
 # Processes that share this process's cores. A forkpool pool sets it
@@ -278,21 +257,30 @@ def _workers() -> int:
     return max(1, _cores() // _processes)
 
 
-def _block_plan(n: int, c: int, o: int, itemsize: int) -> tuple[int, int]:
-    """(block width, workers) for an n-column grid.
+def _blocks(n: int, c: int, o: int, itemsize: int) -> list[tuple[int, int]]:
+    """The column blocks ``(lo, hi)`` an n-column grid is computed in.
 
-    A grid of one cache block, or one whose length is no multiple of
-    ``_BAND_ALIGN``, is one block on the calling thread. Otherwise the
-    block count is rounded up to a multiple of the worker count and the
-    blocks get equal widths, rounded up to ``_BAND_ALIGN`` columns.
+    A grid of one cache block is one block. A longer one is cut into
+    ceil(n / cache block) blocks, rounded up to a multiple of the usable
+    cores, of equal widths rounded up to ``_ALIGN`` columns; the last block
+    is shorter. The blocks depend on the conv's shape and the cores alone,
+    not on the worker count, so every block is the same GEMM calls however
+    the blocks are run.
     """
-    cache = _block_width(c, o, itemsize)
-    if n % _BAND_ALIGN or n <= cache:
-        return n, 1
-    workers = _workers()
-    count = -(-n // cache)
-    count = -(-count // workers) * workers
-    return -(-n // (count * _BAND_ALIGN)) * _BAND_ALIGN, workers
+    count = -(-n // _block_width(c, o, itemsize))
+    if count > 1:
+        count = -(-count // _cores()) * _cores()
+    width = -(-n // (count * _ALIGN)) * _ALIGN
+    return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+
+def _touched(blocks: list[tuple[int, int]], rows, wq: int) -> list[tuple[int, int]]:
+    """The blocks holding a column of the output-row intervals ``rows``, in order; all for None."""
+    if rows is None:
+        return blocks
+    width = blocks[0][1]
+    picked = {k for lo, hi in rows for k in range(lo * wq // width, -(-hi * wq // width))}
+    return [blocks[k] for k in sorted(picked)]
 
 
 _pool: ThreadPoolExecutor | None = None
@@ -390,18 +378,17 @@ def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.nda
             block[...] = tile
 
 
-def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, spans, out: np.ndarray, relu: bool, take, width: int, workers: int):
-    """Write the conv into columns ``spans`` of ``out`` (O, n), in blocks of ``width`` columns.
+def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, blocks, out: np.ndarray, relu: bool, take, workers: int):
+    """Write the conv into the column blocks ``blocks`` of ``out`` (O, n).
 
-    Blocks are cut at multiples of ``width`` counted from grid column 0 and
-    split into contiguous runs, one per worker; the calling thread runs the
-    first. Every run has its own block scratch, taken here, so that only the
-    calling thread touches ``take``'s workspace. A run's scratch holds a
-    block's (O, width) tile, unless the grid is one block contiguous in
-    ``out``, and after it the stacked taps or the partial sum.
+    The blocks are split into contiguous runs, one per worker; the calling
+    thread runs the first. Every run has its own block scratch, taken here,
+    so that only the calling thread touches ``take``'s workspace. A run's
+    scratch holds a block's (O, width) tile, unless the only block is
+    contiguous in ``out``, and after it the stacked taps or the partial sum.
     """
     o, c, kh, kw = w.shape
-    blocks = [(max(k0, c0), min(k0 + width, c1)) for c0, c1 in spans for k0 in range(c0 - c0 % width, c1, width)]
+    width = max((hi - lo for lo, hi in blocks), default=0)
     lone = len(blocks) == 1 and out[:, slice(*blocks[0])].flags.c_contiguous
     size = 0 if lone else o * width
     if c < _STACK_BELOW_CHANNELS:
@@ -444,14 +431,15 @@ def conv2d(
     contiguous tile whose bias add and, with ``relu=True``, ReLU run while
     it is in cache, before it is written out once (see the module
     docstring). A grid of several blocks, and its phase-plane fill, are
-    split across one worker thread per usable core; the output's bits do
-    not depend on the split. The cache then records
+    split across one worker thread per usable core; the blocks, and so
+    the output's bits, do not depend on the split. The cache then records
     the mask ``output > 0`` for :func:`conv2d_backward`.
 
     ``rows``, a sorted list of disjoint half-open output-row intervals
-    ``(lo, hi)``, asks for those rows only. Their values are bit-identical
-    to the full output's; the other rows are not defined, and the cache is
-    then not fit for :func:`conv2d_backward`.
+    ``(lo, hi)``, asks for those rows only: the blocks holding them run
+    whole, so their values are bit-identical to the full output's. The
+    other rows are not defined, and the cache is then not fit for
+    :func:`conv2d_backward`.
 
     ``work`` (inference) supplies the phase planes, the block scratch and
     the output, which is its buffer ``slot`` and so holds only until
@@ -482,13 +470,14 @@ def conv2d(
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
     n = h_out * wq
     dtype = np.result_type(x, w)
-    width, workers = _block_plan(n, c, o, dtype.itemsize)
-    spans = None if rows is None else _column_spans(rows, wq, n)
-    # plane rows the computed columns read: a band [c0, c1) reaches up to
-    # the furthest tap's offset past c1 - 1
+    partition = _blocks(n, c, o, dtype.itemsize)
+    blocks = _touched(partition, rows, wq)
+    workers = _workers() if len(partition) > 1 else 1
+    # plane rows a banded conv's blocks read: block [lo, hi) reaches up to
+    # the furthest tap's offset past hi - 1 (adjacent blocks share a few)
     reach = (kh - 1) // s * wq + (kw - 1) // s
-    plane_rows = [(0, hq)] if spans is None else [
-        (c0 // wq, min(hq, (c1 - 1 + reach) // wq + 1)) for c0, c1 in spans
+    plane_rows = [(0, hq)] if len(blocks) == len(partition) else [
+        (lo // wq, min(hq, (hi - 1 + reach) // wq + 1)) for lo, hi in blocks
     ]
     plane_shape = (s * s, c, hq * wq + (kw - 1) // s)
     if framed is not None:
@@ -509,7 +498,7 @@ def conv2d(
         out = plane[:, wq + 1 : wq + 1 + n]
     else:
         out = take(slot, (o, n), dtype)
-    _taps_product(planes, w, b, taps, [(0, n)] if spans is None else spans, out, relu, take, width, workers)
+    _taps_product(planes, w, b, taps, blocks, out, relu, take, workers)
     out = out.reshape(o, h_out, wq)
     if frame:
         # the top frame, then each row's two wrapped columns, which land on

@@ -41,6 +41,9 @@ __all__ = [
     "tap_conv_stacks",
 ]
 
+# Images are grayscale: one input channel.
+_IN_CHANNELS = 1
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -96,7 +99,6 @@ class NetConfig:
     head_depth: int = 2
     fusion: bool = True
     split_heads: bool = True
-    in_channels: int = 1
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -193,7 +195,7 @@ def build_network(cfg: NetConfig, seed: int = 0) -> Network:
         params[f"{name}.w"] = _he_conv(rng, out_ch, in_ch, k)
         params[f"{name}.b"] = np.zeros(out_ch, dtype=np.float32)
 
-    in_ch = cfg.in_channels
+    in_ch = _IN_CHANNELS
     for si, stage in enumerate(cfg.stages):
         for ci in range(stage.n_convs):
             add_conv(f"stage{si}.conv{ci}", stage.channels, in_ch, 3)
@@ -366,10 +368,8 @@ def forward_detect(
     When the gated rows cover a map, its branch runs dense.
     """
     cfg, params = net.config, net.params
-    if image.ndim != 3 or image.shape[0] != cfg.in_channels:
-        raise ValueError(
-            f"image must be ({cfg.in_channels}, H, W), got {image.shape}"
-        )
+    if image.ndim != 3 or image.shape[0] != _IN_CHANNELS:
+        raise ValueError(f"image must be ({_IN_CHANNELS}, H, W), got {image.shape}")
     if want_grad and gate is not None:
         raise ValueError("a gated forward has no backward pass")
 
@@ -556,8 +556,8 @@ def _read_exact(src: BinaryIO, n: int, what: str) -> bytes:
 def load_weights(src: BinaryIO) -> dict[str, np.ndarray]:
     """Read back a container written by :func:`save_weights`.
 
-    A short read or bytes after the last tensor raise ``ValueError``
-    naming the field or tensor.
+    A short read, a repeated tensor name or bytes after the last tensor
+    raise ``ValueError`` naming the field or tensor.
     """
     magic = src.read(4)
     if magic != _MAGIC:
@@ -573,6 +573,8 @@ def load_weights(src: BinaryIO) -> dict[str, np.ndarray]:
             name = _read_exact(src, name_len, f"the name of {what}").decode("utf-8")
         except UnicodeDecodeError as e:
             raise ValueError(f"the name of {what} is not UTF-8") from e
+        if name in params:
+            raise ValueError(f"tensor {ti} is named {name!r}, as tensor {list(params).index(name)} is")
         what = f"tensor {ti} ({name!r})"
         (rank,) = struct.unpack("<I", _read_exact(src, 4, f"the rank of {what}"))
         dims = struct.unpack(f"<{rank}I", _read_exact(src, 4 * rank, f"the shape of {what}"))

@@ -102,12 +102,8 @@ _RENAMED = {
 }
 
 # Fields that are no key: the keys above set the first three, build()
-# sets net.anchors, the caller train.seed, and the rest keep their toy
-# values.
-_UNKEYED = {
-    "anchor.layers", "train.lam", "train.ohem_ratio",
-    "net.anchors", "train.seed", "net.in_channels", "aug.min_box_retained",
-}
+# sets net.anchors and the caller train.seed.
+_UNKEYED = {"anchor.layers", "train.lam", "train.ohem_ratio", "net.anchors", "train.seed"}
 
 
 def _parser(default: Any):

@@ -41,6 +41,21 @@ def test_anchors_csv(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["anchors", "--strides", "4,8", "--sizes", "16"], "--strides and --sizes must have the same length, got 2 and 1"),
+    (["anchors", "--strides", "4,x", "--sizes", "16,32"], "--strides: 'x' is not an integer"),
+    (["anchors", "--strides", "4,8", "--sizes", "16,3.5"], "--sizes: '3.5' is not an integer"),
+    (["anchors", "--strides", "4,", "--sizes", "16,32"], "--strides: '' is not an integer"),
+    (["rf", "--stack", "3s1,3sx"], "--stack: bad layer '3sx': expected '<kernel>s<stride>'"),
+    (["rf", "--stack", "3"], "--stack: bad layer '3': expected '<kernel>s<stride>'"),
+], ids=["unmatched", "strides", "sizes", "empty token", "stack token", "stack without s"])
+def test_bad_list_flag_is_a_config_error(capsys, args, message):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 def test_rf_stack(capsys):
     assert run(["rf", "--stack", "3s2,3s1"]) == 0
     out = capsys.readouterr().out
@@ -162,6 +177,24 @@ def test_repeated_annotation_image_reports_line(tmp_path, capsys, command):
     assert code == 1
     assert err.startswith("error: line ") and "image '000000.pgm' repeats line 1" in err
     assert "Traceback" not in err
+
+
+def test_train_data_names_a_missing_image(tmp_path, capsys):
+    ds = tmp_path / "data"
+    assert run(["synth", "--out", str(ds), "--n", "2", "--seed", "3"]) == 0
+    (ds / "000001.pgm").unlink()
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(ds), "--out", str(out), "--set", "train.epochs=1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: annotations.txt names '000001.pgm', which is not an image in {ds}\n"
+    assert not out.exists()
+
+
+def test_train_zero_epochs(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--train-n", "2", "--epochs", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"trained 0 epochs; wrote {out}"
+    assert (out / "weights.bin").exists() and (out / "train_report.csv").exists()
 
 
 def test_train_at_128(tmp_path):

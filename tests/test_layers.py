@@ -95,9 +95,10 @@ class TestConv2d:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_row_bands_bit_equal_full(self, data):
-        # A band is exact only where its columns start and end on the
-        # 16-column grid; grids whose length is not a multiple of 16 run
-        # whole. Both groupings (3 stacks its taps, 17 and 64 do not).
+        # Requested rows run as whole blocks of the full grid's partition,
+        # so they are exact for grids of any length, in one block or cut
+        # into blocks of 16-64 columns. Both groupings (3 stacks its taps,
+        # 17 and 64 do not).
         c = data.draw(st.sampled_from([3, 17, 64]), "channels")
         o = data.draw(st.sampled_from([2, 4, 64]), "filters")
         stride = data.draw(st.sampled_from([1, 1, 2]), "stride")
@@ -119,38 +120,30 @@ class TestConv2d:
         x = rng.normal(size=(c, h, wd)).astype(np.float32)
         w = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
         b = rng.normal(size=o).astype(np.float32)
-        full, _ = conv2d(x, w, b, stride=stride)
-        banded, _ = conv2d(x, w, b, stride=stride, rows=rows)
+        block = data.draw(st.sampled_from([None, 16, 32, 64]), "block width")
+        size = layers._BLOCK_BYTES if block is None else block * 4 * (c + 2 * o)
+        with mock.patch.object(layers, "_BLOCK_BYTES", size):
+            full, _ = conv2d(x, w, b, stride=stride)
+            banded, _ = conv2d(x, w, b, stride=stride, rows=rows)
         assert banded.shape == full.shape
         for lo, hi in rows:
             np.testing.assert_array_equal(banded[:, lo:hi], full[:, lo:hi])
 
-    def test_grid_off_16_columns_runs_whole(self):
-        # A 20x20 map's grid has 440 columns. Banded, its last block is
-        # partial, and a band ending there differed from the full product
-        # in about a third of draws; such a grid must run whole. Cut into
-        # column blocks of 336 + 104, its last block differed too.
+    def test_grid_off_16_columns_bands_exact(self):
+        # A 20x20 map's grid has 440 columns, ending on a partial 16. Its
+        # bands equal the full conv whether the grid is one block or cut
+        # into 224 + 216 columns.
         rng = np.random.default_rng(20)
         for lo in range(0, 20, 2):
             x = rng.normal(size=(64, 20, 20)).astype(np.float32)
             w = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
             b = rng.normal(size=64).astype(np.float32)
-            full, _ = conv2d(x, w, b)
-            banded, _ = conv2d(x, w, b, rows=[(lo, 20)])
-            np.testing.assert_array_equal(banded[:, lo:], full[:, lo:])
-            with mock.patch.object(layers, "_BLOCK_BYTES", 336 * 4 * (64 + 2 * 64)):
-                np.testing.assert_array_equal(conv2d(x, w, b)[0], full)
-
-    def test_column_spans(self):
-        # rows 1-2 and 5 of an 8-row grid of 10 columns: columns [10, 30)
-        # and [50, 60), rounded out to [0, 32) and [48, 64)
-        assert layers._column_spans([(1, 3), (5, 6)], 10, 80) == [(0, 32), (48, 64)]
-        # rows 1 and 3 round out to overlapping column ranges, which merge
-        assert layers._column_spans([(1, 2), (3, 4)], 10, 80) == [(0, 48)]
-        assert layers._column_spans([], 10, 80) == []
-        # bands covering the grid, or a grid whose length is no multiple of 16, run whole
-        assert layers._column_spans([(0, 1), (2, 8)], 10, 80) is None
-        assert layers._column_spans([(1, 2)], 11, 88) is None
+            for size in (layers._BLOCK_BYTES, 336 * 4 * (64 + 2 * 64)):
+                with mock.patch.object(layers, "_BLOCK_BYTES", size), \
+                        mock.patch.object(layers, "_cores", lambda: 2):
+                    full, _ = conv2d(x, w, b)
+                    banded, _ = conv2d(x, w, b, rows=[(lo, 20)])
+                np.testing.assert_array_equal(banded[:, lo:], full[:, lo:])
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channels"):
@@ -205,16 +198,104 @@ class TestRelu:
         np.testing.assert_allclose(gb, [0.0, 5.0])
 
 
+# Blocked and unblocked float32 grids agree within this many units in the
+# last place of the map's largest magnitude.
+ULPS = 4
+
+
+class _WidthDependentGemm:
+    """numpy, except that ``matmul`` rounds a float64 product to the output
+    dtype and then moves some columns up one ulp, chosen by the call's width
+    and each column's place in the call: a GEMM whose bits change whenever a
+    column is computed in a differently cut call."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def matmul(a, b, out):
+        m = b.shape[-1]
+        # a banded chained conv's blocks also read plane columns its
+        # producer did not write, which may hold any bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(out.dtype)
+        nudged = (np.arange(m) * 7 + m) % 3 == 0
+        prod[:, nudged] = np.nextafter(prod[:, nudged], np.inf)
+        out[...] = prod
+        return out
+
+
+class TestFixedCalls:
+    """Every column comes from the same GEMM calls however the conv is run,
+    so a GEMM whose bits depend on how a call is cut changes no output."""
+
+    @pytest.mark.parametrize("c,stride,wd", [(3, 1, 29), (17, 1, 30), (17, 2, 29), (64, 1, 29)])
+    def test_width_dependent_gemm(self, c, stride, wd):
+        rng = np.random.default_rng(c + stride + wd)
+        o = 4
+        x = rng.normal(size=(c, 23, wd)).astype(np.float32)
+        w = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
+        b = rng.normal(size=o).astype(np.float32)
+        # the successor of a chained plane, a 3x3 stride-1 conv on the output
+        w2 = rng.normal(size=(4, o, 3, 3)).astype(np.float32)
+        b2 = rng.normal(size=4).astype(np.float32)
+        h_out = -(-23 // stride)
+        rows = [(2, 5), (11, 12), (h_out - 1, h_out)]
+        wide = [(max(0, lo - 1), min(h_out, hi + 1)) for lo, hi in rows]
+
+        def convs():
+            """The conv computed every way: full, banded, in a Workspace and chained."""
+            got = {"full": conv2d(x, w, b, stride=stride, relu=True)[0]}
+            got["banded"] = conv2d(x, w, b, stride=stride, rows=rows, relu=True)[0]
+            work = Workspace()
+            got["work"] = conv2d(x, w, b, stride=stride, relu=True, work=work)[0].copy()
+            got["work banded"] = conv2d(x, w, b, stride=stride, rows=rows, relu=True, work=work)[0].copy()
+            if stride == 1:
+                framed = conv2d(x, w, b, relu=True, work=work, slot="chain0", frame=True)[0]
+                got["framed"] = framed.copy()
+                got["chained"] = conv2d(framed, w2, b2, work=work, framed="chain0")[0].copy()
+                framed = conv2d(x, w, b, rows=wide, relu=True, work=work, slot="chain1", frame=True)[0]
+                got["chained banded"] = conv2d(framed, w2, b2, rows=rows, work=work, framed="chain1")[0].copy()
+            return got
+
+        # 112-column cache blocks for the conv, 96-672 for its successor
+        with mock.patch.object(layers, "np", _WidthDependentGemm()), \
+                mock.patch.object(layers, "_BLOCK_BYTES", 112 * 4 * (c + 2 * o)), \
+                mock.patch.object(layers, "_cores", lambda: 4):
+            with mock.patch.object(layers, "_workers", lambda: 1):
+                want = conv2d(x, w, b, stride=stride, relu=True)[0]
+                successor = conv2d(want, w2, b2)[0]
+            runs = {}
+            for workers in (1, 2, 3, 4):
+                with mock.patch.object(layers, "_workers", lambda: workers):
+                    runs[f"{workers} workers"] = convs()
+            with mock.patch.object(layers, "_processes", 2):
+                runs["2 processes"] = convs()
+        differ = []
+        for run, got in runs.items():
+            for name, out in got.items():
+                ref = successor if name.startswith("chained") else want
+                if "banded" in name:
+                    out, ref = (np.concatenate([m[:, lo:hi] for lo, hi in rows], axis=1) for m in (out, ref))
+                if not np.array_equal(out, ref):
+                    differ.append(f"{name} at {run}")
+        assert not differ
+
+
 class TestColumnBlocks:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_block_edges(self, data):
         # _BLOCK_BYTES is shrunk so that cache blocks are 16-64 columns wide
         # and the grid spans at least 3 of them; the blocked runs allocate
-        # NaN. At 1, 2 and 3 workers every output equals the unblocked one,
-        # with and without ReLU, full and banded, in a NaN-poisoned
-        # Workspace too, and a stride-1 output written as the framed plane
-        # of a successor conv gives that conv the bits of a filled plane.
+        # NaN. At 1, 2 and 3 workers every output equals the blocked one at
+        # 1 worker, with and without ReLU, full and banded, in a
+        # NaN-poisoned Workspace too, and a stride-1 output written as the
+        # framed plane of a successor conv gives that conv the bits of a
+        # filled plane. Blocked and unblocked float32 grids are different
+        # GEMM calls, which need not agree to the bit: they must agree
+        # within ``ULPS`` units in the last place of the map's largest
+        # magnitude (at most 1.1 seen in 400 draws on OpenBLAS 0.3.31).
         c = data.draw(st.sampled_from([3, 17, 64]), "channels")
         o = data.draw(st.sampled_from([2, 4, 64]), "filters")
         stride = data.draw(st.sampled_from([1, 2]), "stride")
@@ -244,10 +325,7 @@ class TestColumnBlocks:
             return conv2d(x, w, b, stride=stride, **kw)[0]
 
         unblocked = run(x32, w32, b32)
-        act = np.maximum(unblocked, 0.0) if relu else unblocked
-        successor = conv2d(act, w2, b2)[0]
         g = rng.normal(size=unblocked.shape).astype(np.float32)
-        want_grads = conv2d_backward(g, conv2d(x32, w32, b32, stride=stride, relu=True)[1])
         with mock.patch.object(layers, "_BLOCK_BYTES", width * 4 * (c + 2 * o)), \
                 mock.patch.object(layers, "_empty", nan_empty):
             assert layers._block_width(c, o, 4) == width
@@ -256,16 +334,21 @@ class TestColumnBlocks:
                 oc = data.draw(st.integers(0, o - 1), "checked channel")
                 want = conv2d_oracle(x, w[oc : oc + 1], b[oc : oc + 1], stride)
                 np.testing.assert_allclose(run(x, w, b)[oc : oc + 1], want, atol=1e-12)
+            with mock.patch.object(layers, "_workers", lambda: 1):
+                blocked = run(x32, w32, b32)
+                act = np.maximum(blocked, 0.0) if relu else blocked
+                successor = conv2d(act, w2, b2)[0]
+                want_grads = conv2d_backward(g, conv2d(x32, w32, b32, stride=stride, relu=True)[1])
+            np.testing.assert_allclose(blocked, unblocked, rtol=0, atol=ULPS * np.spacing(np.abs(unblocked).max()))
+            # a block edge inside the grid, and the output rows around it
+            blocks = layers._blocks(n, c, o, 4)
+            edge = data.draw(st.sampled_from([lo for lo, _ in blocks[1:]]), "block edge")
+            rows = [((edge - 1) // wq, edge // wq + 1)]
             for workers in (1, 2, 3):
                 with mock.patch.object(layers, "_workers", lambda: workers), \
                         mock.patch.object(layers, "_split", wraps=layers._split) as split:
-                    block, _ = layers._block_plan(n, c, o, 4)
-                    # a block edge inside the grid, and the output rows around it
-                    step = block if block < n else width
-                    edge = step * data.draw(st.integers(1, (n - 1) // step), f"edge at {workers} workers")
-                    rows = [((edge - 1) // wq, edge // wq + 1)]
                     full = run(x32, w32, b32)
-                    assert split.called == (workers > 1 and n % 16 == 0)
+                    assert split.called == (workers > 1)
                     fused, cache = conv2d(x32, w32, b32, stride=stride, relu=True)
                     grads = conv2d_backward(g, cache)
                     banded = run(x32, w32, b32, rows=rows, relu=relu)
@@ -289,7 +372,7 @@ class TestColumnBlocks:
                         chained_band = conv2d(framed_band, w2, b2, rows=rows, work=work, framed="chain1")[0]
                     # every buffer the convs took was a poisoned one, not regrown
                     assert {k: v.size for k, v in work._buffers.items()} == sizes
-                np.testing.assert_array_equal(full, unblocked)
+                np.testing.assert_array_equal(full, blocked)
                 np.testing.assert_array_equal(fused, np.maximum(full, 0.0))
                 np.testing.assert_array_equal(in_work, act)
                 for got, want in zip(grads, want_grads):
@@ -303,19 +386,48 @@ class TestColumnBlocks:
                     for lo, hi in rows:
                         np.testing.assert_array_equal(chained_band[:, lo:hi], successor[:, lo:hi])
 
-    def test_block_plan(self):
+    def test_blocks(self):
         # float32 64 -> 64 convs: 1,360-column cache blocks become equal
-        # widths, rounded up to 16, in a multiple of the worker count
-        with mock.patch.object(layers, "_workers", lambda: 2):
-            assert layers._block_plan(160 * 162, 64, 64, 4) == (1296, 2)  # 20 blocks
-            assert layers._block_plan(80 * 82, 64, 64, 4) == (1104, 2)  # 6 blocks, not 5
-            assert layers._block_plan(40 * 42, 64, 64, 4) == (848, 2)  # 848 + 832, not 1,360 + 320
-            assert layers._block_plan(1360, 64, 64, 4) == (1360, 1)  # one block, inline
-            assert layers._block_plan(20 * 22, 64, 64, 4) == (440, 1)
-        with mock.patch.object(layers, "_workers", lambda: 1):
-            assert layers._block_plan(80 * 82, 64, 64, 4) == (1312, 1)
-        with mock.patch.object(layers, "_workers", lambda: 3):
-            assert layers._block_plan(80 * 82, 64, 64, 4) == (1104, 3)
+        # widths, rounded up to 16, in a multiple of the usable cores; the
+        # last block is short
+        def widths(n: int, cores: int) -> list[int]:
+            with mock.patch.object(layers, "_cores", lambda: cores):
+                blocks = layers._blocks(n, 64, 64, 4)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            return [hi - lo for lo, hi in blocks]
+
+        assert widths(160 * 162, 2) == [1296] * 20
+        assert widths(80 * 82, 2) == [1104] * 5 + [1040]  # 6 blocks, not 5
+        assert widths(40 * 42, 2) == [848, 832]  # not 1,360 + 320
+        assert widths(41 * 40, 2) == [832, 808]  # a grid off 16 columns is cut too
+        assert widths(1360, 2) == [1360]  # one cache block
+        assert widths(20 * 22, 2) == [440]
+        assert widths(80 * 82, 1) == [1312] * 5
+        assert widths(80 * 82, 3) == [1104] * 5 + [1040]
+        # the partition follows the cores, not the workers or the processes sharing them
+        with mock.patch.object(layers, "_cores", lambda: 2):
+            want = layers._blocks(80 * 82, 64, 64, 4)
+            for workers in (1, 3):
+                with mock.patch.object(layers, "_workers", lambda: workers):
+                    assert layers._blocks(80 * 82, 64, 64, 4) == want
+            with mock.patch.object(layers, "_processes", 2):
+                assert layers._workers() == 1
+                assert layers._blocks(80 * 82, 64, 64, 4) == want
+
+    def test_touched(self):
+        # an 8-row grid of 10 columns in blocks of 16
+        blocks = [(k, min(k + 16, 80)) for k in range(0, 80, 16)]
+        # rows 1-2 and 5 are columns [10, 30) and [50, 60): blocks 0, 1 and 3
+        assert layers._touched(blocks, [(1, 3), (5, 6)], 10) == [(0, 16), (16, 32), (48, 64)]
+        # rows 1 and 3 are [10, 20) and [30, 40), which share block 1
+        assert layers._touched(blocks, [(1, 2), (3, 4)], 10) == [(0, 16), (16, 32), (32, 48)]
+        assert layers._touched(blocks, [(7, 8)], 10) == [(64, 80)]
+        assert layers._touched(blocks, [], 10) == []
+        assert layers._touched(blocks, [(0, 1), (2, 8)], 10) == blocks
+        assert layers._touched(blocks, None, 10) is blocks
+        # an 88-column grid in 48 + 40: row 1 of 11 columns is [11, 22)
+        assert layers._touched([(0, 48), (48, 88)], [(1, 2)], 11) == [(0, 48)]
 
     def test_more_workers_than_cores(self):
         # More workers than usable cores and a GIL switch every microsecond:

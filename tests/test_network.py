@@ -244,9 +244,10 @@ class TestGatedForward:
             forward_detect(toy_net(), img, want_grad=True, gate=GATE)
 
     def test_640_sparse_bit_identical(self, net640):
-        # Pins the 16-column band rule on this BLAS at paper scale: tap 0's
-        # 160x160 map (25,920 grid columns) runs in bands, taps 3-5 (grids of
-        # 440, 120 and 35 columns) run whole.
+        # Gated rows equal dense rows at paper scale: tap 0's 160x160 map
+        # (25,920 grid columns) runs only the column blocks holding its gated
+        # rows, taps 3-5 (grids of 440, 120 and 35 columns) are one block
+        # each and run whole.
         net, images = net640
         grid = generate_anchors(net.config.anchors)
         decode_cfg = DecodeConfig()
@@ -452,6 +453,15 @@ class TestWeightsContainer:
         save_weights({"w": np.ones(3, dtype=np.float32)}, buf)
         with pytest.raises(ValueError, match="after its last tensor"):
             load_weights(io.BytesIO(buf.getvalue() + b"\x00"))
+
+    def test_repeated_name_rejected(self):
+        # two tensors named "a.w": a dict would silently keep the second
+        first, second = io.BytesIO(), io.BytesIO()
+        save_weights({"a.w": np.ones(2, dtype=np.float32)}, first)
+        save_weights({"a.w": np.full(2, 2.0, dtype=np.float32)}, second)
+        raw = first.getvalue()[:8] + (2).to_bytes(4, "little") + first.getvalue()[12:] + second.getvalue()[12:]
+        with pytest.raises(ValueError, match=r"^tensor 1 is named 'a.w', as tensor 0 is$"):
+            load_weights(io.BytesIO(raw))
 
     def test_magic_checked(self):
         with pytest.raises(ValueError, match="magic"):
