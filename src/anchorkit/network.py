@@ -86,7 +86,7 @@ class NetConfig:
     """Detector topology tied to an anchor config.
 
     ``taps`` are backbone stage indices whose cumulative stride must
-    equal the matching anchor layer's stride. ``split_heads=False`` drops
+    equal the matching anchor layer's stride. ``head_depth=0`` drops
     the per-branch conv trunks and applies the terminal 2/4-filter convs
     directly to the (projected, fused) feature map — the shared-head
     baseline used for ablations.
@@ -98,7 +98,6 @@ class NetConfig:
     head_channels: int = 64
     head_depth: int = 2
     fusion: bool = True
-    split_heads: bool = True
 
     def __post_init__(self) -> None:
         if not self.stages:
@@ -179,9 +178,8 @@ def _head_param_specs(cfg: NetConfig, prefix: str) -> list[tuple[str, int, int, 
     # (name, out_ch, in_ch, kernel) in creation order
     specs = []
     for branch, out_ch in (("cls", 2), ("reg", 4)):
-        if cfg.split_heads:
-            for d in range(cfg.head_depth):
-                specs.append((f"{prefix}.{branch}{d}", cfg.head_channels, cfg.head_channels, 3))
+        for d in range(cfg.head_depth):
+            specs.append((f"{prefix}.{branch}{d}", cfg.head_channels, cfg.head_channels, 3))
         specs.append((f"{prefix}.{branch}_out", out_ch, cfg.head_channels, 3))
     return specs
 
@@ -245,11 +243,10 @@ def _branch(
     prefix: str,
     branch: str,
     head_depth: int,
-    split_heads: bool,
     rows: np.ndarray | None = None,
     work: Workspace | None = None,
 ):
-    """One head branch: trunk convs with ReLU (split heads only), then the terminal conv.
+    """One head branch: ``head_depth`` trunk convs with ReLU, then the terminal conv.
 
     Returns ``(map, caches)``; with ``work`` (inference) the convs run in
     its buffers and their caches are None, and each trunk conv writes its
@@ -260,7 +257,7 @@ def _branch(
     each conv computes them widened by the (k - 1) // 2 halo of every conv
     after it. The map's other rows are then not defined.
     """
-    names = [f"{prefix}.{branch}{d}" for d in range(head_depth if split_heads else 0)]
+    names = [f"{prefix}.{branch}{d}" for d in range(head_depth)]
     names.append(f"{prefix}.{branch}_out")
     caches = []
     framed = None
@@ -299,7 +296,6 @@ def detection_head(
     params: dict[str, np.ndarray],
     prefix: str = "head0",
     head_depth: int = 2,
-    split_heads: bool = True,
 ):
     """Run both detection branches on one feature map.
 
@@ -308,8 +304,8 @@ def detection_head(
     ``(grad_feature, grads)`` with parameter gradients keyed like
     ``params``. ReLU follows every conv except the terminals.
     """
-    cls_map, cls_caches = _branch(feature, params, prefix, "cls", head_depth, split_heads)
-    reg_map, reg_caches = _branch(feature, params, prefix, "reg", head_depth, split_heads)
+    cls_map, cls_caches = _branch(feature, params, prefix, "cls", head_depth)
+    reg_map, reg_caches = _branch(feature, params, prefix, "reg", head_depth)
     return cls_map, reg_map, _head_backward(cls_caches, reg_caches)
 
 
@@ -414,15 +410,11 @@ def forward_detect(
     logit_rows, offset_rows, dims = [], [], []
     for ti in range(n_taps):
         prefix = f"head{ti}"
-        cls_map, cls_caches = _branch(
-            feats[ti], params, prefix, "cls", cfg.head_depth, cfg.split_heads, work=work
-        )
+        cls_map, cls_caches = _branch(feats[ti], params, prefix, "cls", cfg.head_depth, work=work)
         h, w = cls_map.shape[1:]
         logit_rows.append(_map_rows(cls_map))
         rows = None if gate is None else _gated_rows(logit_rows[-1], gate, h, w)
-        reg_map, reg_caches = _branch(
-            feats[ti], params, prefix, "reg", cfg.head_depth, cfg.split_heads, rows=rows, work=work
-        )
+        reg_map, reg_caches = _branch(feats[ti], params, prefix, "reg", cfg.head_depth, rows=rows, work=work)
         offset_rows.append(_map_rows(reg_map))
         if rows is not None:
             regressed = np.zeros(h, dtype=bool)
@@ -500,9 +492,9 @@ def tap_conv_stacks(cfg: NetConfig) -> list[list[LayerSpec]]:
 
     Each stack holds the backbone convs up to and including the tap's
     stage, that tap's 1x1 projection, then the 3x3 convs of one head
-    branch: ``head_depth`` trunk convs (split heads only) and the
-    terminal conv. Fusion is not in the stack: it adds the successor
-    tap's projection, upsampled, just before this tap's head convs.
+    branch: ``head_depth`` trunk convs and the terminal conv. Fusion is
+    not in the stack: it adds the successor tap's projection, upsampled,
+    just before this tap's head convs.
     """
     stacks = []
     for ti, si in enumerate(cfg.taps):
@@ -513,8 +505,7 @@ def tap_conv_stacks(cfg: NetConfig) -> list[list[LayerSpec]]:
                 stride = stage.stride if ci == stage.n_convs - 1 else 1
                 stack.append(LayerSpec(kernel=3, stride=stride, name=f"stage{sj}.conv{ci}"))
         stack.append(LayerSpec(kernel=1, stride=1, name=f"proj{ti}"))
-        depth = cfg.head_depth if cfg.split_heads else 0
-        stack += [LayerSpec(kernel=3, stride=1, name=f"head{ti}.cls{d}") for d in range(depth)]
+        stack += [LayerSpec(kernel=3, stride=1, name=f"head{ti}.cls{d}") for d in range(cfg.head_depth)]
         stack.append(LayerSpec(kernel=3, stride=1, name=f"head{ti}.cls_out"))
         stacks.append(stack)
     return stacks

@@ -3,14 +3,11 @@
 Used by the CLI subcommands and by the acceptance harness so both run
 the exact same code paths.
 
-:func:`detect_images` runs a collection of images on one process per
-usable core, ``min(cores, images)``: the images are split into
-contiguous runs in key order, the calling process runs the first and
-processes forked for the call (:mod:`anchorkit.forkpool`) run the
-others, each sending back only its ``{key: detections}``. Each image's
+:func:`detect_images` hands its images' keys to a
+:func:`forkpool.pool`, one process per usable core, ``min(cores,
+images)``; one image, or one core, forks nothing. Each image's
 arithmetic is the one-process arithmetic, so the detections are
-bit-identical and come back in the input's key order. One image, or
-one core, runs in the calling process and forks nothing. Sixteen toy
+bit-identical and come back in the input's key order. Sixteen toy
 images per call (``validation_ap``) went from 138 to 175 images/s on 2
 cores (medians of 10 runs each, 1 BLAS thread, 2-core Xeon): a fork
 costs about 1.3 ms, and a worker's run of 8 images took about 75 ms
@@ -61,11 +58,10 @@ def detect_images(
     The forward regresses only the map rows that hold anchors above the
     decode gate (see :func:`forward_detect`). Every image must have the
     size the net's anchors were laid out for; that is checked before
-    anything runs. The images run on ``forkpool.size(len(images))``
-    processes, in contiguous runs in key order (see the module
-    docstring); a single image runs inline. The result lists the keys in
-    the input's order, and an image's exception is raised where the
-    image stands in that order, as a one-process loop would raise it.
+    anything runs. The images run on a :func:`forkpool.pool` (see the
+    module docstring). The result lists the keys in the input's order,
+    and an image's exception is raised where the image stands in that
+    order, as a one-process loop would raise it.
     """
     decode_cfg = decode_cfg or DecodeConfig()
     anchors = net.config.anchors
@@ -78,33 +74,13 @@ def detect_images(
             )
     grid = generate_anchors(anchors)
 
-    def detect(run: list[str]) -> dict[str, list[Detection]]:
-        return {
-            key: decode_improved(forward_detect(net, images[key], gate=decode_cfg.score_threshold), grid,
-                                 decode_cfg).detections
-            for key in run
-        }
+    def detect(pos: int, key: str) -> list[Detection]:
+        raw = forward_detect(net, images[key], gate=decode_cfg.score_threshold)
+        return decode_improved(raw, grid, decode_cfg).detections
 
     keys = list(images)
-    size = forkpool.size(len(keys))
-    edges = [k * len(keys) // size for k in range(size + 1)]
-    runs = [keys[lo:hi] for lo, hi in zip(edges, edges[1:])]
-
-    def serve(conn, k: int) -> None:
-        try:
-            reply = detect(runs[k])
-        except Exception as exc:
-            reply = forkpool.portable(exc)
-        conn.send(reply)
-
-    with forkpool.workers(size, serve) as workers:
-        out = detect(runs[0])
-        for worker in workers:
-            reply = worker.recv()
-            if isinstance(reply, BaseException):
-                raise reply
-            out.update(reply)
-    return out
+    with forkpool.pool(len(keys), detect) as run:
+        return {keys[pos]: dets for pos, dets in run(keys, last=True)}
 
 
 def validation_ap(

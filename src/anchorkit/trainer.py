@@ -14,19 +14,15 @@ and per-sample augmentation draw from generator streams derived from
 (seed, epoch, index), so reruns are bit-identical.
 
 A batch's samples are independent until their gradients are summed, so
-each batch is split into contiguous runs of samples over one process per
-usable core, ``min(cores, batch_size)``. The calling process runs the
-first run, and processes forked at the start of :func:`train` run the
-others; they exit when :func:`train` returns or raises. How they are
-forked, sized, pinned to one BLAS thread and waited for is
-:mod:`anchorkit.forkpool`'s, shared with detection.
-Before each update the parameters are copied into an anonymous shared
-mapping that the workers copy from (the net's own arrays stay the same
-objects), and each worker writes a sample's gradients into that
+each batch runs on the :func:`forkpool.pool` of the :func:`train` call,
+one process per usable core, ``min(cores, batch_size)``. Before each
+batch the parameters are copied into an anonymous shared mapping that a
+worker's net reads in place (the calling process's arrays stay the same
+objects), and a worker writes each sample's gradients into that
 sample's slot of the mapping. Only loss terms and exceptions travel on
-the pipes. The calling process then adds the gradients in sample order,
-the same float additions as one process makes, so losses, step logs,
-the diverged step, errors and weights are bit-identical for any worker
+the pipes. The calling process adds the gradients in sample order, the
+same float additions as one process makes, so losses, step logs, the
+diverged step, errors and weights are bit-identical for any worker
 count. Each sample's arithmetic runs with numpy's
 overflow and invalid warnings off: the loss's finiteness check reports
 a divergence once, in the calling process.
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import mmap
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
@@ -189,9 +184,9 @@ def _sample(net, data, grid, tc, match_cfg, aug_cfg, epoch: int, idx: int):
 class _Shared:
     """Arrays shaped like ``params`` in an anonymous mapping that forked processes share.
 
-    ``params`` receives the parameters before each update, and
-    ``grads[p]`` the gradients of a batch's sample ``p``. Sample 0 always
-    runs in the calling process, so ``grads[0]`` is ``params``' memory.
+    ``params`` receives the parameters before each batch, ``grads[p]`` a
+    worker's gradients of sample ``p``. Sample 0 always runs in the
+    calling process, so ``grads[0]`` is ``params``' memory.
     """
 
     def __init__(self, params: dict[str, np.ndarray], batch_size: int):
@@ -206,72 +201,6 @@ class _Shared:
             for base in range(0, size * batch_size, size)
         ]
         self.params = self.grads[0]
-
-
-def _serve(sample, params: dict[str, np.ndarray], shared: _Shared, conn, k: int) -> None:
-    """A forked worker's loop: run the samples it is sent until its pipe closes.
-
-    Each message is (epoch, position of the run's first sample, sample
-    indices). The reply lists the samples' loss terms, ending early at a
-    non-finite loss or with the exception a sample raised; gradients go
-    to the samples' slots.
-    """
-    while True:
-        try:
-            epoch, first, idxs = conn.recv()
-        except EOFError:
-            return
-        for key, v in params.items():
-            np.copyto(v, shared.params[key])
-        reply = []
-        try:
-            for pos, idx in enumerate(idxs, first):
-                terms, grads = sample(epoch, idx)
-                reply.append(terms)
-                if grads is None:
-                    break
-                for key, g in grads.items():
-                    shared.grads[pos][key][...] = g
-        except Exception as exc:
-            reply.append(forkpool.portable(exc))
-        conn.send(reply)
-
-
-@contextmanager
-def _batches(sample, params: dict[str, np.ndarray], largest: int):
-    """Yield ``run(epoch, batch)``, which yields each sample's (terms, grads) in batch order.
-
-    ``largest`` is the most samples a batch holds. With more than one
-    process, ``forkpool.size(largest)``, the later runs of samples go to
-    forked workers, and a worker's exception is raised where its sample
-    stands in the batch.
-    """
-    size = forkpool.size(largest)
-    if size == 1:
-        yield lambda epoch, batch: (sample(epoch, int(idx)) for idx in batch)
-        return
-
-    shared = _Shared(params, largest)
-    with forkpool.workers(size, functools.partial(_serve, sample, params, shared)) as pool:
-
-        def run(epoch: int, batch):
-            n = len(batch)
-            parts = min(size, n)
-            edges = [k * n // parts for k in range(parts + 1)]
-            if parts > 1:
-                for k, v in params.items():
-                    np.copyto(shared.params[k], v)
-                for worker, lo, hi in zip(pool, edges[1:], edges[2:]):
-                    worker.conn.send((epoch, lo, [int(i) for i in batch[lo:hi]]))
-            for idx in batch[: edges[1]]:
-                yield sample(epoch, int(idx))
-            for worker, lo in zip(pool, edges[1:-1]):
-                for pos, terms in enumerate(worker.recv(), lo):
-                    if isinstance(terms, BaseException):
-                        raise terms
-                    yield terms, shared.grads[pos]
-
-        yield run
 
 
 def train(
@@ -311,17 +240,30 @@ def train(
     update = 0
     sample = functools.partial(_sample, net, data, grid, tc, match_cfg, aug_cfg)
     largest = min(tc.batch_size, len(data)) if tc.epochs else 1
+    shared = _Shared(net.params, largest)
 
-    with _batches(sample, net.params, largest) as run:
+    def remote(pos: int, item: tuple[int, int]):
+        net.params.update(shared.params)  # in a worker only: its net reads the caller's parameters in place
+        terms, grads = sample(*item)
+        if grads is not None:
+            for k, g in grads.items():
+                shared.grads[pos][k][...] = g
+        return terms, None
+
+    with forkpool.pool(largest, remote, lambda pos, item: sample(*item)) as run:
         for epoch in range(tc.epochs):
             order = sample_rng(tc.seed, _SHUFFLE_STREAM, epoch).permutation(len(data))
             totals, clss, regs = [], [], []
             for start in range(0, len(order), tc.batch_size):
-                batch = order[start : start + tc.batch_size]
+                batch = [(epoch, int(idx)) for idx in order[start : start + tc.batch_size]]
+                for k, v in net.params.items():
+                    np.copyto(shared.params[k], v)
                 batch_grads: dict[str, np.ndarray] | None = None
-                for (total, cls_term, reg_term, n_pos, n_neg), grads in run(epoch, batch):
+                for pos, ((total, cls_term, reg_term, n_pos, n_neg), grads) in run(batch):
                     if not np.isfinite(total):
                         raise TrainingDiverged(step, total)
+                    if grads is None:  # a worker's sample: its gradients are in its slot
+                        grads = shared.grads[pos]
                     if batch_grads is None:
                         batch_grads = grads
                     else:

@@ -98,10 +98,10 @@ def trained_ablation_pair(val_split):
     pairs, _ = synth_pairs(ak.SynthConfig(), TRAIN_N, SEED)
     epochs = 18
 
-    full = build_network(NetConfig.toy(fusion=True, split_heads=True), seed=SEED)
+    full = build_network(NetConfig.toy(fusion=True), seed=SEED)
     train(full, pairs, TrainConfig(epochs=epochs, seed=SEED, matcher="two_step"))
 
-    base = build_network(NetConfig.toy(fusion=False, split_heads=False), seed=SEED)
+    base = build_network(NetConfig.toy(fusion=False, head_depth=0), seed=SEED)
     train(base, pairs, TrainConfig(epochs=epochs, seed=SEED, matcher="baseline"))
     return full, base
 

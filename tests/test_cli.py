@@ -460,7 +460,6 @@ match.step2_iou_floor=0.1
 net.fusion=true
 net.head_channels=64
 net.head_depth=2
-net.split_heads=true
 net.stages=1x8s1,1x16s2,2x32s2,2x64s2
 net.taps=2,3
 synth.distractor_rate=0.15

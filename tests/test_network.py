@@ -1,15 +1,12 @@
-import ctypes
 import contextlib
-import glob
 import io
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from anchorkit import layers
+from anchorkit import forkpool, layers
 from anchorkit.decode import DecodeConfig, decode_baseline, decode_improved
 from anchorkit.data import SynthConfig, synth_dataset
 from anchorkit.geometry import AnchorConfig, generate_anchors, receptive_field
@@ -65,16 +62,9 @@ def net640():
 @contextlib.contextmanager
 def blas_threads(n):
     """Run the body with numpy's OpenBLAS at ``n`` threads, restoring the count after."""
-    libs = glob.glob(str(Path(np.__file__).resolve().parent.parent / "numpy.libs" / "*openblas*"))
-    if not libs:
-        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
-    lib = ctypes.CDLL(libs[0])
-    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if get is None or set_ is None:
-        pytest.skip("this OpenBLAS has no thread-count functions")
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
+    if forkpool.blas_threads() is None:
+        pytest.skip("numpy's BLAS is no bundled OpenBLAS whose thread count can be read and set")
+    get, set_ = forkpool.blas_threads()
     old = get()
     set_(n)
     try:
@@ -141,7 +131,7 @@ class TestBuildNetwork:
         assert net.params["head0.reg_out.w"].shape[0] == 4
 
     def test_shared_heads_have_terminals_only(self):
-        net = toy_net(split_heads=False)
+        net = toy_net(head_depth=0)
         assert "head0.cls0.w" not in net.params
         assert "head0.cls_out.w" in net.params
 
@@ -224,7 +214,7 @@ class TestGatedForward:
         assert gated.gate == GATE
 
     @pytest.mark.parametrize("share", [0.0, 0.01, 0.05, 0.2])
-    @pytest.mark.parametrize("head", [{}, {"head_depth": 1}, {"split_heads": False}])
+    @pytest.mark.parametrize("head", [{}, {"head_depth": 1}, {"head_depth": 0}])
     def test_sparse_toy_rows_exact(self, share, head):
         net = toy_net(seed=3, **head)
         images, _ = synth_dataset(SynthConfig(), 4, seed=8)
@@ -296,7 +286,7 @@ class TestInferenceForward:
     @pytest.mark.parametrize(
         "kwargs",
         # 4-pixel images give one-row (or one-column) maps at both taps
-        [{}, {"fusion": False}, {"split_heads": False}, {"image_h": 4}, {"image_w": 4}, {"image_w": 4, "image_h": 4}],
+        [{}, {"fusion": False}, {"head_depth": 0}, {"image_h": 4}, {"image_w": 4}, {"image_w": 4, "image_h": 4}],
     )
     def test_toy_equals_grad_forward(self, kwargs):
         net = toy_net(seed=6, **kwargs)
@@ -413,7 +403,7 @@ class TestReceptiveFieldClaim:
         # backbone to tap 0 is 13 px; the two trunk convs and the terminal
         # conv add 8 px each at jump 4
         assert receptive_field(tap_conv_stacks(NetConfig.toy())[0]).rf_size == 37
-        shared = NetConfig.toy(split_heads=False)
+        shared = NetConfig.toy(head_depth=0)
         assert receptive_field(tap_conv_stacks(shared)[0]).rf_size == 21
 
 

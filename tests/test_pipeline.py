@@ -122,6 +122,12 @@ class TestDetectPool:
             dets = detect_images(net, {"a.pgm": images["a.pgm"]})
         assert list(dets) == ["a.pgm"] and forks == []
 
+    def test_no_images_forks_nothing(self, scene, forks):
+        net, _, _ = scene
+        with workers(3):
+            assert detect_images(net, {}) == {}
+        assert forks == []
+
     @pytest.mark.parametrize("positions", [[1], [4], [6], [3, 5]])
     def test_image_error_is_the_one_process_error(self, scene, forks, children, monkeypatch, positions):
         # at 3 workers over 7 images the runs are [0, 1], [2, 3, 4], [5, 6]: 1 is the caller's,
