@@ -49,14 +49,15 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise ConfigError(f"expected WxH (e.g. 640x640), got {text!r}") from e
 
 
-def _int_list(flag: str, text: str) -> list[int]:
-    """The comma-separated integers of ``flag``; ConfigError names the flag and a bad token."""
+def _number_list(flag: str, text: str, kind: type = int) -> list:
+    """The comma-separated ``kind`` numbers of ``flag``; ConfigError names the flag and a bad token."""
     out = []
     for token in text.split(","):
         try:
-            out.append(int(token))
+            out.append(kind(token))
         except ValueError:
-            raise ConfigError(f"{flag}: {token.strip()!r} is not an integer") from None
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{flag}: {token.strip()!r} is not {noun}") from None
     return out
 
 
@@ -92,7 +93,7 @@ def cmd_anchors(args: argparse.Namespace) -> int:
     if args.strides or args.sizes:
         if not (args.strides and args.sizes):
             raise ConfigError("--strides and --sizes must be given together")
-        strides, sizes = _int_list("--strides", args.strides), _int_list("--sizes", args.sizes)
+        strides, sizes = _number_list("--strides", args.strides), _number_list("--sizes", args.sizes)
         if len(strides) != len(sizes):
             raise ConfigError(
                 f"--strides and --sizes must have the same length, got {len(strides)} and {len(sizes)}"
@@ -239,7 +240,13 @@ def _load_image_dir(directory: Path) -> dict[str, np.ndarray]:
     )
     if not files:
         raise ConfigError(f"no .pgm/.ppm images in {directory}")
-    return {p.name: load_ppm(p.read_bytes()) for p in files}
+    images = {}
+    for p in files:
+        try:
+            images[p.name] = load_ppm(p.read_bytes())
+        except ValueError as e:
+            raise ValueError(f"{p}: {e}") from None
+    return images
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -377,7 +384,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_fp_hist(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
     dets, gts = _load_eval_inputs(args)
-    edges = [float(v) for v in args.bins.split(",")]
+    edges = _number_list("--bins", args.bins, float)
     counts = count_false_positives(dets, gts, edges, args.iou)
     for i, count in enumerate(counts):
         print(f"[{edges[i]:g}, {edges[i + 1]:g}): {count} false positives")

@@ -234,6 +234,12 @@ def _bench_grid(anchor_count: int) -> AnchorGrid:
     return generate_anchors(single)
 
 
+def _check_hot_fraction(hot_fraction: float) -> None:
+    """Raise ValueError unless ``hot_fraction`` is in [0, 1]; NaN is not."""
+    if not 0.0 <= hot_fraction <= 1.0:
+        raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
+
+
 def synth_raw_output(
     grid: AnchorGrid,
     hot_fraction: float,
@@ -247,6 +253,7 @@ def synth_raw_output(
     shared target boxes (so suppression stays cheap and output-stable);
     cold anchors score well below the gate.
     """
+    _check_hot_fraction(hot_fraction)
     n = len(grid)
     rng = np.random.default_rng(seed)
     n_hot = int(round(hot_fraction * n))
@@ -326,6 +333,9 @@ def bench_decode(
     Asserts on every repeat that the two paths agree detection-for-
     detection; timings are wall-clock (perf_counter_ns) after warmup.
     """
+    if anchor_count < 1:
+        raise ValueError(f"anchor_count must be >= 1, got {anchor_count}")
+    _check_hot_fraction(hot_fraction)
     if repeats < 10:
         raise ValueError(f"repeats must be >= 10, got {repeats}")
     cfg = cfg or DecodeConfig()

@@ -68,9 +68,12 @@ def _ranked(
 ) -> list[tuple[float, str]]:
     """All detections with match status, globally score-sorted.
 
-    Status: "tp", "fp", or "ignored". Raises if a detection references an
-    image the ground-truth set does not know.
+    Status: "tp", "fp", or "ignored". Raises if ``iou_thresh`` is not in
+    (0, 1) or a detection references an image the ground-truth set does
+    not know.
     """
+    if not (0.0 < iou_thresh < 1.0):
+        raise ValueError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
     for key in dets:
         if key not in gts.boxes:
             raise ValueError(f"detections reference unknown image {key!r}")
@@ -112,8 +115,6 @@ def match_detections(
     iou_thresh: float = 0.5,
 ) -> list[bool]:
     """Globally score-sorted TP/FP flags (ignored detections excluded)."""
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValueError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
     return [status == "tp" for _, status in _ranked(dets, gts, iou_thresh) if status != "ignored"]
 
 
@@ -167,12 +168,12 @@ def count_false_positives(
 ) -> np.ndarray:
     """Histogram of false-positive detections by confidence score.
 
-    ``score_bins`` is a list of increasing edges in [0, 1]; bin i counts
+    ``score_bins`` is a list of finite increasing edges; bin i counts
     FPs with score in [edge_i, edge_i+1) (last bin closed on the right).
     """
     edges = np.asarray(score_bins, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError(f"score_bins must be >= 2 increasing edges, got {score_bins}")
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
+        raise ValueError(f"score_bins must be >= 2 finite increasing edges, got {score_bins}")
     fp_scores = [score for score, status in _ranked(dets, gts, iou_thresh) if status == "fp"]
     counts, _ = np.histogram(np.asarray(fp_scores, dtype=np.float64), bins=edges)
     return counts

@@ -24,32 +24,28 @@ every run follows the same protocol:
   raise a RuntimeError that names its pid.
 
 A caller reads every result of a run, or leaves the ``with`` block,
-before it starts the next run. With ``n`` = 1 nothing is forked and
-``run`` calls ``local`` on every item in the calling process.
+before it starts the next run.
 
 Workers are forked when the ``with`` block opens and exit when it ends,
 or once they reply to a run marked ``last``, the pool's final run: a
 one-run caller marks its run, so that the workers' exit overlaps its
-own work (a 16-image toy detection call on 2 cores waited about 2.5 ms
-for it unmarked, under 1 ms marked). They are forked rather than
-spawned, so they inherit the net, the data, the configs and any patched
-module attribute without pickling or importing anything again; the only
-threads the package starts, the conv pool's, wait idle between convs
-and are dropped in a forked child.
+own work. They are forked rather than spawned, so they inherit the net,
+the data, the configs and any patched module attribute without pickling
+or importing anything again; the only threads the package starts, the
+conv pool's, wait idle between convs and are dropped in a forked child.
 
-While a pool runs:
+Every pool, of one process or more, keeps one thread budget: processes
+x conv threads x BLAS threads <= usable cores. While its ``with`` block
+is open, BLAS runs at one thread and ``layers._processes`` is ``n``, so
+that each process's conv threads take a ``1/n`` share of the cores; the
+workers inherit both from the fork. On every way out the calling
+process gets its own values back, not 1: a pool may open in the calling
+process of another, as validation in a training run's epoch callback
+does while that run's workers wait for their next batch. Code that runs
+a forward outside a pool keeps its own BLAS count.
 
-- BLAS runs at one thread in every process, and the calling process
-  gets its own count back afterwards: OpenBLAS's threads on top of the
-  processes oversubscribe the cores. Three toy epochs of 24 pairs at
-  batch 6 took 1.6-2.4 s in one process at 2 BLAS threads, 4.3-10.8 s on
-  2 processes at 2 BLAS threads and 1.0-1.3 s on 2 processes at one
-  (2-core Xeon, 6 runs each).
-- ``layers._processes`` is the pool's size, so that processes x conv
-  threads stays within the cores, and the caller's value comes back
-  afterwards rather than 1: a pool may open in the calling process of
-  another, as validation in a training run's epoch callback does while
-  that run's workers wait for their next batch.
+Also while a pool runs:
+
 - Workers ignore SIGINT (the calling process handles ^C) and leave only
   through ``os._exit``, so no test runner or exit handler of the parent
   runs twice.
@@ -59,7 +55,8 @@ While a pool runs:
   of 640x640 images could otherwise hold a ^C up for seconds.
 
 Where there is no ``os.fork``, or the thread count of numpy's bundled
-OpenBLAS cannot be read and set, :func:`_size` is 1, as on one core.
+OpenBLAS cannot be read and set, :func:`_size` is 1, as on one core,
+and the pool leaves BLAS at the caller's count.
 """
 
 from __future__ import annotations
@@ -138,7 +135,6 @@ def _child(remote: Callable[[int, Any], Any], conn: Connection, others: list[Con
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process handles ^C
         for other in others:
             other.close()
-        blas_threads()[1](1)
         _serve(remote, conn)
     except BaseException:  # not re-raised: the worker only ever leaves through os._exit
         code = 1
@@ -162,6 +158,7 @@ def pool(
     """
     local = local or remote
     n = _size(largest)
+    get, put = blas_threads() or (lambda: 1, lambda threads: None)  # no BLAS to pin: _size forks nothing
     made: list[tuple[int, Connection]] = []  # (pid, the calling process's end of its pipe)
 
     def run(items: Sequence[Any], last: bool = False) -> Iterator[tuple[int, Any]]:
@@ -181,10 +178,6 @@ def pool(
             if error is not None:
                 raise error
 
-    if n < 2:
-        yield run
-        return
-    get, put = blas_threads()
     threads, processes = get(), layers._processes
     try:
         put(1)

@@ -94,9 +94,9 @@ worker; the calling thread runs the first, a lazily created module-level
 ``ThreadPoolExecutor`` the others, and the phase-plane fill is split the
 same way by input channels. The process's CPU affinity mask (``taskset``)
 is the only control; there is no option, environment variable or BLAS
-setting. While a pool of forked processes runs (training's or
-detection's, ``forkpool``), each of them takes an equal share of those
-cores (``_processes``), while the blocks stay those of all the usable
+setting. While a ``forkpool`` pool runs (training's or detection's,
+one process or more), each of its processes takes an equal share of
+those cores (``_processes``), while the blocks stay those of all the usable
 cores, so the bits are the same in a pool as outside it. Blocks write
 disjoint output columns. Every run has its own block scratch, which the
 calling thread takes before it dispatches, so a :class:`Workspace` is

@@ -362,6 +362,11 @@ def forward_detect(
     to the dense forward's; every other row's offsets are NaN, and the
     returned output carries ``gate`` so that decode can refuse to read them.
     When the gated rows cover a map, its branch runs dense.
+
+    The forward sets no thread count: it runs at the caller's BLAS count
+    and conv-thread share. Inside a :func:`forkpool.pool` those are the
+    pool's budget; a direct call outside a pool keeps the caller's own
+    BLAS count.
     """
     cfg, params = net.config, net.params
     if image.ndim != 3 or image.shape[0] != _IN_CHANNELS:

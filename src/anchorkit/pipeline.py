@@ -5,15 +5,10 @@ the exact same code paths.
 
 :func:`detect_images` hands its images' keys to a
 :func:`forkpool.pool`, one process per usable core, ``min(cores,
-images)``; one image, or one core, forks nothing. Each image's
-arithmetic is the one-process arithmetic, so the detections are
-bit-identical and come back in the input's key order. Sixteen toy
-images per call (``validation_ap``) went from 138 to 175 images/s on 2
-cores (medians of 10 runs each, 1 BLAS thread, 2-core Xeon): a fork
-costs about 1.3 ms, and a worker's run of 8 images took about 75 ms
-against the caller's 57 ms (a fresh worker takes about 1,000
-copy-on-write page faults on its first run), so 2 cores give about
-1.3x rather than 2x.
+images)``, under the pool's thread budget; one image, or one core,
+forks nothing. Each image's arithmetic is the one-process arithmetic,
+so the detections are bit-identical and come back in the input's key
+order.
 """
 
 from __future__ import annotations

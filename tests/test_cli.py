@@ -160,6 +160,46 @@ def test_eval_bad_detection_reports_line(tmp_path, capsys):
     assert err.startswith("error: line 3:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["eval", "--iou", "0"], "error: iou_thresh must be in (0, 1), got 0.0"),
+    (["eval", "--iou", "1.5"], "error: iou_thresh must be in (0, 1), got 1.5"),
+    (["fp-hist", "--iou", "-1"], "error: iou_thresh must be in (0, 1), got -1.0"),
+    (["fp-hist", "--bins", "0.1,nan,0.5"], "error: score_bins must be >= 2 finite increasing edges, got [0.1, nan, 0.5]"),
+    (["fp-hist", "--bins", "0.1,x"], "config error: --bins: 'x' is not a number"),
+], ids=["eval iou 0", "eval iou 1.5", "fp-hist iou -1", "fp-hist nan bin", "fp-hist bad bin"])
+def test_bad_eval_flag_is_an_error(tmp_path, capsys, args, message):
+    ds = tmp_path / "val"
+    assert run(["synth", "--out", str(ds), "--n", "1", "--seed", "3"]) == 0
+    dets = tmp_path / "dets.txt"
+    dets.write_text("000000.pgm\n1\n0 0 10 10 0.9\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run([*args, "--detections", str(dets), "--annotations", str(ds / "annotations.txt"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "train"])
+def test_truncated_image_is_named(tmp_path, capsys, command):
+    ds = tmp_path / "data"
+    assert run(["synth", "--out", str(ds), "--n", "2", "--seed", "3"]) == 0
+    bad = ds / "000001.pgm"
+    bad.write_bytes(bad.read_bytes()[:32])
+    if command == "detect":
+        weights = tmp_path / "weights.bin"
+        with weights.open("wb") as fh:
+            save_weights(build_network(NetConfig.toy()).params, fh)
+        args = ["detect", "--weights", str(weights), "--images", str(ds), "--out", str(tmp_path / "d.txt")]
+    else:
+        args = ["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--set", "train.epochs=1"]
+    capsys.readouterr()
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}: truncated pixel data: expected 4096 bytes, got \d+\n", err)
+
+
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_repeated_annotation_image_reports_line(tmp_path, capsys, command):
     ds = tmp_path / "val"
@@ -314,6 +354,20 @@ def test_bench_decode_small(tmp_path, capsys):
     text = out.read_text()
     assert "path,anchors,hot_fraction,mean_ns,stddev_ns,decode_ops" in text
     assert "improved,2000,0.02" in text
+
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--hot", "2"], "hot_fraction must be in [0, 1], got 2.0"),
+    (["--hot", "nan"], "hot_fraction must be in [0, 1], got nan"),
+    (["--anchors", "0"], "anchor_count must be >= 1, got 0"),
+])
+def test_bench_decode_names_a_bad_input(tmp_path, capsys, args, message):
+    out = tmp_path / "bench.csv"
+    assert run(["bench-decode", *args, "--repeats", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out.exists()
 
 
 # characters a config file can hold; surrogates cannot be written as UTF-8

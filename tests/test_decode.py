@@ -372,6 +372,22 @@ class TestBench:
         with pytest.raises(ValueError, match="repeats"):
             bench_decode(100, 0.1, repeats=5)
 
+    @pytest.mark.parametrize("anchors, hot, message", [
+        (100, 2.0, r"^hot_fraction must be in \[0, 1\], got 2.0$"),
+        (100, -0.5, r"^hot_fraction must be in \[0, 1\], got -0.5$"),
+        (100, float("nan"), r"^hot_fraction must be in \[0, 1\], got nan$"),
+        (0, 0.1, r"^anchor_count must be >= 1, got 0$"),
+        (-3, 0.1, r"^anchor_count must be >= 1, got -3$"),
+    ])
+    def test_bad_input_named(self, anchors, hot, message):
+        with pytest.raises(ValueError, match=message):
+            bench_decode(anchors, hot, repeats=10)
+
+    @pytest.mark.parametrize("hot", [1.5, float("nan")])
+    def test_synth_raw_output_names_hot_fraction(self, hot):
+        with pytest.raises(ValueError, match=r"^hot_fraction must be in \[0, 1\]"):
+            synth_raw_output(toy_grid(), hot, seed=0)
+
 
 class TestDetectionIO:
     def test_round_trip(self):

@@ -211,6 +211,24 @@ class TestFPHistogram:
         with pytest.raises(ValueError, match="increasing"):
             count_false_positives({"img": []}, gts, [0.5, 0.5])
 
+    @pytest.mark.parametrize("edges", [[0.1, float("nan"), 0.5], [0.1, float("inf")], [float("-inf"), 0.5]])
+    def test_non_finite_edges_rejected(self, edges):
+        gts = single_image([Box(0, 0, 10, 10)])
+        with pytest.raises(ValueError, match="finite"):
+            count_false_positives({"img": [det(30, 30, 10, 0.3)]}, gts, edges)
+
+
+@pytest.mark.parametrize("entry", [
+    match_detections,
+    evaluate_ap,
+    lambda dets, gts, iou: count_false_positives(dets, gts, [0.0, 1.0], iou),
+], ids=["match_detections", "evaluate_ap", "count_false_positives"])
+@pytest.mark.parametrize("iou", [0.0, 1.0, 1.5, -1.0, float("nan")])
+def test_iou_threshold_outside_unit_interval_rejected(entry, iou):
+    gts = single_image([Box(0, 0, 10, 10)])
+    with pytest.raises(ValueError, match=r"^iou_thresh must be in \(0, 1\), got "):
+        entry({"img": [det(0, 0, 10, 0.9)]}, gts, iou)
+
 
 class TestEvaluateAP:
     def test_end_to_end(self):

@@ -82,3 +82,25 @@ def test_last_run_lets_the_workers_exit(forks):
             time.sleep(0.01)
         assert me == os.getpid() and state(pid) == "Z"
     assert len(forks) == 1
+
+
+def test_workers_inherit_one_blas_thread(forks, blas2):
+    # the pool pins BLAS before it forks, and a worker sets no count of its own
+    get = forkpool.blas_threads()[0]
+    with workers(2), forkpool.pool(2, lambda pos, item: (os.getpid(), get())) as run:
+        (_, (me, mine)), (_, (pid, theirs)) = run(["a", "b"])
+    assert me == os.getpid() != pid and mine == theirs == 1
+    assert len(forks) == 1
+
+
+def test_without_a_settable_blas_one_process_leaves_blas_alone(forks, monkeypatch):
+    # the conv-thread share is still the pool's; the BLAS count is the caller's, untouched
+    blas = forkpool.blas_threads()
+    count = blas[0] if blas else lambda: None
+    threads = count()
+    monkeypatch.setattr(forkpool, "blas_threads", lambda: None)
+    with workers(2), mock.patch.object(layers, "_processes", 3):
+        with forkpool.pool(2, lambda pos, item: (os.getpid(), layers._processes, count())) as run:
+            got = [result for _, result in run(["a", "b"])]
+        assert layers._processes == 3
+    assert got == [(os.getpid(), 1, threads)] * 2 and forks == []

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import time
 from unittest import mock
@@ -58,16 +59,6 @@ def state():
     return layers._processes, forkpool.blas_threads()[0]()
 
 
-@pytest.fixture
-def blas2():
-    """Run BLAS at 2 threads, so that a pool that leaves it at its own 1 is seen."""
-    get, put = forkpool.blas_threads()
-    threads = get()
-    put(2)
-    yield
-    put(threads)
-
-
 @pytest.fixture(scope="module")
 def scene():
     """A toy net, and 7 images with their truth under keys that are not in sorted order."""
@@ -121,6 +112,26 @@ class TestDetectPool:
         with workers(3):
             dets = detect_images(net, {"a.pgm": images["a.pgm"]})
         assert list(dets) == ["a.pgm"] and forks == []
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_single_image_runs_in_the_budget(self, scene, forks, blas2, monkeypatch, fails):
+        # one process is a pool too: 1 BLAS thread and a share of 1, then the caller's own values back
+        net, images, _ = scene
+        seen = []
+        real = pipeline.forward_detect
+
+        def forward(net_, x, **kwargs):
+            seen.append(state())
+            if fails:
+                raise ValueError("bad")
+            return real(net_, x, **kwargs)
+
+        monkeypatch.setattr(pipeline, "forward_detect", forward)
+        with workers(3), mock.patch.object(layers, "_processes", 3):
+            with pytest.raises(ValueError, match="^bad$") if fails else contextlib.nullcontext():
+                detect_images(net, {"a.pgm": images["a.pgm"]})
+            assert state() == (3, 2)
+        assert seen == [(1, 1)] and forks == []
 
     def test_no_images_forks_nothing(self, scene, forks):
         net, _, _ = scene
@@ -189,6 +200,6 @@ class TestDetectPool:
             results.append(seen)
         inline, pooled = results
         assert [ap for _, ap, _ in pooled] == [ap for _, ap, _ in inline]
-        assert [(before, after) for before, _, after in inline] == [((1, 2), (1, 2))] * 2
+        assert [(before, after) for before, _, after in inline] == [((1, 1), (1, 1))] * 2
         assert [(before, after) for before, _, after in pooled] == [((2, 1), (2, 1))] * 2
         assert len(forks) == 1 + 2  # the training pool, then one detection worker per epoch

@@ -186,9 +186,9 @@ def poison(monkeypatch, pairs, position, error=None):
 class TestPool:
     """Batches split over forked workers (patched core counts) give the one-process bits.
 
-    The pool runs BLAS at one thread, and the one-process runs at the
-    process's own count, so at more than one BLAS thread these tests
-    also compare the two thread counts.
+    Every pool, one process included, runs BLAS at one thread; the bits
+    across BLAS thread counts are pinned by ``test_network``'s
+    ``test_640_bits_across_workers_and_blas_threads``.
     """
 
     @pytest.mark.parametrize("batch_size, matcher", [(6, "two_step"), (5, "baseline"), (1, "two_step")])
@@ -227,6 +227,25 @@ class TestPool:
             train(build_network(NetConfig.toy(), seed=4), pairs13, TrainConfig(epochs=1, batch_size=2, seed=4))
             assert layers._workers() == 4
         assert set(seen) == {2}
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_one_process_runs_in_the_budget(self, pairs13, monkeypatch, forks, blas2, fails):
+        # one core is a pool too: 1 BLAS thread and a share of 1, then the caller's own values back
+        seen = []
+        real = trainer.forward_detect
+
+        def forward(*args, **kwargs):
+            seen.append((layers._processes, forkpool.blas_threads()[0]()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward_detect", forward)
+        if fails:
+            poison(monkeypatch, pairs13, 4, ValueError("bad"))
+        with workers(1), mock.patch.object(layers, "_processes", 3):
+            with pytest.raises(ValueError, match="^bad$") if fails else contextlib.nullcontext():
+                train(build_network(NetConfig.toy(), seed=4), pairs13, TrainConfig(epochs=1, seed=4))
+            assert (layers._processes, forkpool.blas_threads()[0]()) == (3, 2)
+        assert seen and set(seen) == {(1, 1)} and forks == []
 
     def test_divergence_in_a_worker_raises_the_inline_step(self, pairs13, monkeypatch, forks):
         poison(monkeypatch, pairs13, 4)
