@@ -258,6 +258,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.face_size_min < 8:
             raise ValueError(f"face sizes must be >= 8 px, got {self.face_size_min}")
+        if self.face_size_min > self.face_size_max:
+            raise ValueError(f"face_size_min must be <= face_size_max, got {self.face_size_min} > {self.face_size_max}")
         if self.face_size_max > self.image_size:
             raise ValueError(
                 f"faces must fit in the image: {self.face_size_max} > {self.image_size}"
@@ -426,6 +428,10 @@ class AugConfig:
                 f"crop ratios must satisfy 0 < min <= max <= 1: "
                 f"{self.crop_ratio_min}..{self.crop_ratio_max}"
             )
+        if not 0.0 <= self.hflip_prob <= 1.0:
+            raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
+        if self.brightness_jitter < 0:
+            raise ValueError(f"brightness_jitter must be >= 0, got {self.brightness_jitter}")
 
 
 # A crop drops a box that keeps less than this share of its area.

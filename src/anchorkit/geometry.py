@@ -166,6 +166,12 @@ class AnchorConfig:
     def anchor_count(self) -> int:
         return sum(r * c for r, c in self.layer_dims())
 
+    def check_image(self, name: str, image: np.ndarray) -> None:
+        """Raise ValueError, naming the image ``name``, unless it has the size the anchors are laid out for."""
+        h, w = image.shape[-2:]
+        if (h, w) != (self.image_h, self.image_w):
+            raise ValueError(f"{name} is {w}x{h}, the net's anchors are laid out for {self.image_w}x{self.image_h}")
+
 
 @dataclass(frozen=True)
 class LayerLayout:

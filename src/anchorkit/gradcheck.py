@@ -139,7 +139,7 @@ def check_fuse(rng: np.random.Generator, instances: int) -> float:
         proj = rng.normal(0.0, 1.0, size=current.shape)
 
         def scalar() -> float:
-            return float((fuse(current, higher) * proj).sum())
+            return float((fuse(current.copy(), higher) * proj).sum())
 
         # the current map's gradient passes through unchanged
         g_hi = upsample2_backward(proj, *higher.shape[1:])

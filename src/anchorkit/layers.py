@@ -1,151 +1,63 @@
 """From-scratch conv-net primitives: conv2d (with fused ReLU) and 2x upsample-add fusion.
 
-Tensors are single-image (C, H, W) float arrays; weights are
-(out_ch, in_ch, kh, kw). Convolutions always use "same" padding
-(k - 1) // 2, so the output is ceil(in / stride) per spatial axis and
-lines up with the ceil-division anchor layout.
+Tensors are single-image (C, H, W) arrays; weights are (out_ch, in_ch,
+kh, kw). Convolutions use "same" padding (k - 1) // 2, so the output is
+ceil(in / stride) per axis, as the anchor layout expects. Every op keeps
+its inputs' dtype (float32 in training, float64 in gradient checks).
 
-conv2d reads its input through phase planes instead of a 9x im2col
-buffer. It pads the input once and splits it into stride**2 phase
-planes, each a contiguous (C, hq*wq) array, where phase (a, b) holds the
-padded pixels at rows a, a + s, ... and columns b, b + s, .... Tap (i, j)
-of the kernel then reads phase (i % s, j % s) from flat offset
-(i // s) * wq + j // s: a column slice of the plane that BLAS takes
-without a copy. The output is computed on an (h_out, wq) grid of
-n = h_out * wq columns; its wq - w_out right-hand columns wrap into the
-next row, so forward cuts them and backward feeds them a zero gradient.
+Phase planes. conv2d pads its input once into stride**2 contiguous
+(C, hq*wq) phase planes: phase (a, b) holds the padded pixels at rows
+a, a + s, ... and columns b, b + s, .... Tap (i, j) reads phase
+(i % s, j % s) at flat offset (i // s) * wq + j // s, a column slice BLAS
+takes without a copy, so no im2col buffer is built. The output is an
+(h_out, wq) grid of n = h_out * wq columns whose wq - w_out right-hand
+columns wrap into the next row: forward cuts them, backward zeroes them.
 
-The grid is computed in column blocks fixed by the conv's shape and the
-number of usable cores (``_blocks``). A cache block is
-``_BLOCK_BYTES // (itemsize * (C + 2 * O))`` columns, rounded down to a
-multiple of ``_ALIGN`` (16), so that its input slice, its partial sum
-and its output slice stay in L2 (2 MiB per core on the Xeon it was tuned
-on). A grid of one cache block is one block. A longer grid is cut into
-ceil(n / cache block) blocks, that count rounded up to a multiple of the
-usable cores (below), of equal widths rounded up to 16 columns and
-counted from grid column 0: an 80x80 map at 64 -> 64 channels on 2 cores
-runs as 6 blocks of 1,104 columns rather than 5 of 1,360, the last one
-short, and a 40x40 map as 848 + 832 rather than 1,360 + 320. Timed alone
-at 2 workers, the equal widths took 29.2 / 7.8 / 2.7 ms for
-160/80/40-pixel maps against 30.1 / 8.5 / 3.5 ms (faster in 8, 10 and 12
-of 12 rotated rounds). The rounding to 16 columns is for speed alone,
-and the evidence is mixed: in-process on sparse 640x640 detection,
-unaligned equal widths were slower in 5 of 5 pairs in one session (219
-against 202 ms per image) and faster in 10 of 16 rounds in another (137
-against 140 ms). Inputs with at least
-``_STACK_BELOW_CHANNELS`` (16) channels run one GEMM per tap into the
-block, ``W[:, :, i, j] @ slice``, and sum them there. Thinner inputs (the 1-channel stem, the 8-channel
-stride-2 conv) stack one block's tap slices into a (C*kh*kw, block)
-operand and run a single GEMM: per tap their product has K = C, and each
-tap's partial sum costs more memory traffic than copying the thin input
-(on the 640x640 net, per-tap GEMMs for these two convs made detection
-about 90 ms per image slower). With ``relu=True`` the epilogue of each
-block, the bias add and ReLU, runs while the block is still in cache, so
-a ReLU costs no pass of its own over the map; it is the only ReLU the
-network runs, in training too.
+Blocks, and bits by construction. The grid is computed in column blocks
+of ``_BLOCK_BYTES // (itemsize * (C + 2 * O))`` columns, so a block's
+input slice, partial sum and tile fit in L2 together. A longer grid is
+cut into that many blocks, rounded up to a multiple of the usable cores
+so threads get equal shares, of equal widths from grid column 0. A
+column's bits come from its block's calls alone: GEMMs of fixed widths
+at fixed offsets, then adds, bias and ReLU in a fixed order. The blocks
+depend on the conv's shape and the core count only, so the bits do not
+depend on the thread count, on which thread runs a block, or on whether
+other blocks run. The BLAS need only repeat a call's bits and compute
+each output column from its own operand column. Another core count, or
+another summation order such as one im2col GEMM, moves the last bits.
 
-A block that is not contiguous in the output is summed in a contiguous
-(O, width) tile taken from its run's scratch: the first tap's GEMM
-goes into the tile, each later tap's into a partial sum that is then
-added to the tile, the bias is added there, and the tile is written to
-the output once, through ReLU or as a plain copy. The output's rows lie
-n * itemsize bytes apart (103,680 B on a 160x160 map), and an add over a
-block of such rows cost about 4x the same add in a contiguous, cached
-tile: 56 against 15 us per 64 x 1,296 float32 add (2-core Xeon, median
-of 10 rotated placements). That is the blocking argument of Goto and van
-de Geijn (2008). The GEMMs, the order of the adds and the bias add are
-the same, so the bits are too. A block that is the whole grid of a
-contiguous output sums in the output: every toy conv in training, and
-every toy conv but the head trunk convs in inference, whose output is a
-chained plane (below).
+The tile. Each block is summed in a contiguous (O, width) tile from its
+run's scratch: the first tap's GEMM goes into the tile, each later one
+into a partial sum added to it, then the bias, and the tile is written
+out once, through ReLU or as a copy. Output rows lie a grid row apart,
+so adds there would stream through memory; in the tile the adds, bias
+and ReLU stay in cache, and ReLU takes no pass of its own. Inputs with
+fewer than ``_STACK_BELOW_CHANNELS`` channels stack a block's tap slices
+into one (C*kh*kw, width) operand for a single GEMM, since a per-tap
+product would have K = C, too thin for BLAS, and its partial sums would
+move more memory than copying the thin input.
 
-A sweep of 256 KiB to 4 MiB on the
-640x640 net (2-core AVX-512 Xeon, 1 BLAS thread, in-process rotation)
-gave median sparse-detection image times of 340/317/307/305/300 ms and
-dense ones of 523/494/478/467/477 ms: 256 KiB is slower, 1-4 MiB are
-alike, and ``_BLOCK_BYTES`` is 1 MiB.
+Thread share. A grid of several blocks runs on this process's share of
+the usable cores (``os.sched_getaffinity``), the cores divided by
+``_processes``, which a running ``forkpool`` pool sets so that processes
+x threads stays within the cores. The blocks split into contiguous runs,
+one per thread, the first on the calling thread; the plane fill splits
+by channels. Each run's scratch is taken before dispatch, so only the
+calling thread touches a :class:`Workspace`. numpy releases the GIL in
+GEMMs and copies. A forked child drops the pool whose threads it lacks.
 
-The backward is per tap for every conv: ``grad_w[:, :, i, j] = g @
-slice.T`` and ``W[:, :, i, j].T @ g`` is added into the gradient plane at
-the same slice, which is then split back into pixels. A fused ReLU's
-mask, ``output > 0`` (exactly ``pre-activation > 0``), is recorded with
-the cache.
+Banded rows. ``rows`` asks for some output rows only (a gated forward):
+conv2d runs whole the blocks holding a column of them and fills only the
+plane rows those read, so the rows have the full output's bits.
 
-The summation order differs from one im2col GEMM, so results are not
-bit-identical to it: float64 outputs match the loop oracle within 1e-12
-(about 1e-13 at 64 channels), and on the 640x640 net's convs float32
-outputs (up to about 7 in magnitude) differ from im2col by at most
-about 4e-6. Reruns are byte-identical.
-
-An output column's bits come from its block's calls alone: GEMMs of
-fixed widths at fixed column offsets, then the adds, bias add and ReLU
-in a fixed order. So they cannot depend on the worker count, on which
-worker runs the block, or on whether other blocks run at all (a banded
-conv, below): reproducibility by a fixed order of operations (Demmel and
-Nguyen 2013), which asks of the BLAS only that a call repeat its bits
-and compute each output column from its own operand column. A blocked
-grid need not match one unblocked GEMM to the bit, nor a machine with
-another core count, whose block edges differ.
-
-A grid of several blocks runs on one worker thread per usable core,
-``len(os.sched_getaffinity(0))`` (``os.cpu_count()`` where there is no
-affinity mask). Its blocks are split into contiguous runs, one per
-worker; the calling thread runs the first, a lazily created module-level
-``ThreadPoolExecutor`` the others, and the phase-plane fill is split the
-same way by input channels. The process's CPU affinity mask (``taskset``)
-is the only control; there is no option, environment variable or BLAS
-setting. While a ``forkpool`` pool runs (training's or detection's,
-one process or more), each of its processes takes an equal share of
-those cores (``_processes``), while the blocks stay those of all the usable
-cores, so the bits are the same in a pool as outside it. Blocks write
-disjoint output columns. Every run has its own block scratch, which the
-calling thread takes before it dispatches, so a :class:`Workspace` is
-still touched by the calling thread alone. A grid of one block, every conv of
-the toy net among them, runs inline and submits nothing. numpy releases
-the GIL inside the GEMMs and the copies, so the workers overlap. They
-are no BLAS thread setting in disguise: a 160x160 64 -> 64 conv took
-48.4 ms at 1 BLAS thread and 1 worker, 32.4 ms at 1 BLAS thread and 2
-workers, 40.6 ms at 2 BLAS threads and 1 worker and 46.7 ms at 2 and 2
-(2-core shared Xeon, medians of 10 rotated rounds): OpenBLAS's own
-threads gain less on these small GEMMs, and on top of the workers they
-oversubscribe the cores. A forked child drops the pool it inherited,
-whose threads do not exist in it, and builds a new one on first use.
-
-A gated detection forward asks conv2d for some output rows only
-(``rows``). conv2d computes the blocks that hold a column of those rows,
-whole (``_touched``), and copies into the phase planes only the input
-rows those blocks read. Requested rows are then the full output's bits
-by the argument above; a request that touches every block is the full
-conv.
-
-An inference forward passes a :class:`Workspace`: conv2d then takes its
-phase planes, block scratch and output from the workspace's named
-buffers, which the next image reuses, and returns no cache.
-
-In a chain of 3x3 stride-1 convs on one map (the head branches), an
-inference conv writes its grid straight into the phase plane its
-successor reads, and the successor fills no planes. That plane holds
-pixel (y, x) at flat offset (y + 1) * wq + x + 1, which is grid column
-y * wq + x shifted by wq + 1, so the grid goes in at offset wq + 1. Three
-zeroings after the write make it the plane a fill would have made: the
-top frame (offsets below wq + 1), each grid row's two wrapped columns
-(they land on the right pad of their row and the left pad of the next),
-and the bottom row with the tail. Everything else is grid column for
-grid column the values the successor's fill would have copied, so its
-bits are the same. A banded producer writes only its blocks. The
-successor's requested rows read only rows the producer was asked for,
-since a branch widens each conv's rows by the halo of the convs after
-it; its blocks' other columns may read unwritten plane, which reaches
-only outputs outside the requested rows. Without the
-reuse, each 640x640 image mapped and faulted its largest maps afresh
-(about 6,700 minor page faults and 25 ms of system time per sparse
-image, against 80-240 and about 1 ms for the unblocked convs); with it,
-a steady detection loop takes none.
-
-Forward functions return a cache consumed by the matching backward
-function; conv2d's cache holds the weights second. All ops follow the
-dtype of their inputs (float32 for training, float64 for gradient
-checks).
+Chained planes. In a chain of 3x3 stride-1 inference convs, a conv
+writes its grid into the plane its successor reads, which then fills
+nothing. That plane holds pixel (y, x) at (y + 1) * wq + x + 1: grid
+column y * wq + x shifted by wq + 1. Zeroing the top frame, each row's
+two wrapped columns (right pad of its row, left pad of the next) and the
+bottom row with the tail leaves the plane a fill makes. A banded
+producer writes only its blocks; its successor's rows read only rows it
+was asked for, as a branch widens each conv's rows by the later halos.
 """
 
 from __future__ import annotations
@@ -168,10 +80,6 @@ __all__ = [
 # Below this many input channels a per-tap GEMM has K = C, too thin for
 # BLAS; those convs stack the tap slices into one GEMM instead.
 _STACK_BELOW_CHANNELS = 16
-
-# Block widths are rounded up to a multiple of this many grid columns, for
-# speed only (see the module docstring for the mixed timings).
-_ALIGN = 16
 
 # A conv sums its tap GEMMs over column blocks whose input, partial-sum and
 # output slices take about this many bytes, so they stay in L2.
@@ -235,8 +143,7 @@ def _empty(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 def _block_width(c: int, o: int, itemsize: int) -> int:
     """Grid columns per block: its input, partial-sum and output slices fill ``_BLOCK_BYTES``."""
-    cols = _BLOCK_BYTES // (itemsize * (c + 2 * o)) // _ALIGN * _ALIGN
-    return max(cols, _ALIGN)
+    return max(1, _BLOCK_BYTES // (itemsize * (c + 2 * o)))
 
 
 # Processes that share this process's cores. A forkpool pool sets it
@@ -258,19 +165,11 @@ def _workers() -> int:
 
 
 def _blocks(n: int, c: int, o: int, itemsize: int) -> list[tuple[int, int]]:
-    """The column blocks ``(lo, hi)`` an n-column grid is computed in.
-
-    A grid of one cache block is one block. A longer one is cut into
-    ceil(n / cache block) blocks, rounded up to a multiple of the usable
-    cores, of equal widths rounded up to ``_ALIGN`` columns; the last block
-    is shorter. The blocks depend on the conv's shape and the cores alone,
-    not on the worker count, so every block is the same GEMM calls however
-    the blocks are run.
-    """
+    """The column blocks ``(lo, hi)`` an n-column grid is computed in (see the module docstring)."""
     count = -(-n // _block_width(c, o, itemsize))
     if count > 1:
         count = -(-count // _cores()) * _cores()
-    width = -(-n // (count * _ALIGN)) * _ALIGN
+    width = -(-n // count)
     return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
 
@@ -319,6 +218,14 @@ def _split(fn, parts) -> None:
         future.result()
 
 
+def _split_channels(fn, c: int, parts: int) -> None:
+    """Run ``fn(chans)`` over ``parts`` contiguous slices of ``c`` channels, split as :func:`_split` does."""
+    if parts > 1:
+        _split(lambda k: fn(slice(k * c // parts, (k + 1) * c // parts)), range(parts))
+    else:
+        fn(slice(None))
+
+
 def _fill_planes(planes: np.ndarray, x: np.ndarray, s: int, hq: int, wq: int, kh: int, kw: int, plane_rows, chans: slice):
     """Copy channels ``chans`` of ``x`` into the phase planes and zero their padding.
 
@@ -343,22 +250,13 @@ def _fill_planes(planes: np.ndarray, x: np.ndarray, s: int, hq: int, wq: int, kh
 def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.ndarray, bias: np.ndarray, taps, out: np.ndarray, relu: bool):
     """Write the conv into columns [lo, hi) of ``out`` for each (lo, hi) of ``blocks``.
 
-    ``weights`` is (O, kh*kw*C) for stacked taps, (kh*kw, O, C) for one
-    GEMM per tap. A block that is not contiguous in ``out`` is summed in a
-    contiguous (O, hi - lo) tile at the head of ``scratch``: the first tap's
-    GEMM goes into the tile, every later one into a partial sum that is then
-    added to it, the bias is added there too, and the tile is written to
-    ``out`` once, through ReLU with ``relu``. A contiguous block (the whole
-    grid of an ``out`` that is itself contiguous) sums in ``out``.
+    ``weights`` is (O, kh*kw*C) for stacked taps, (kh*kw, O, C) per tap.
+    ``scratch`` holds the tile, then the stacked taps or the partial sum.
     """
     o = out.shape[0]
     for lo, hi in blocks:
         m = hi - lo
-        block = out[:, lo:hi]
-        if block.flags.c_contiguous:
-            tile, rest = block, scratch
-        else:
-            tile, rest = scratch[: o * m].reshape(o, m), scratch[o * m :]
+        tile, rest = scratch[: o * m].reshape(o, m), scratch[o * m :]
         if weights.ndim == 2:
             stacked = rest[: weights.shape[1] * m].reshape(len(taps), -1, m)
             for t, (p, off) in enumerate(taps):
@@ -373,30 +271,21 @@ def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.nda
                 tile += part
         tile += bias
         if relu:
-            np.maximum(tile, 0.0, out=block)
-        elif tile is not block:
-            block[...] = tile
+            np.maximum(tile, 0.0, out=out[:, lo:hi])
+        else:
+            out[:, lo:hi] = tile
 
 
 def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, blocks, out: np.ndarray, relu: bool, take, workers: int):
-    """Write the conv into the column blocks ``blocks`` of ``out`` (O, n).
-
-    The blocks are split into contiguous runs, one per worker; the calling
-    thread runs the first. Every run has its own block scratch, taken here,
-    so that only the calling thread touches ``take``'s workspace. A run's
-    scratch holds a block's (O, width) tile, unless the only block is
-    contiguous in ``out``, and after it the stacked taps or the partial sum.
-    """
+    """Write the conv into the column blocks ``blocks`` of ``out`` (O, n), one run per worker."""
     o, c, kh, kw = w.shape
     width = max((hi - lo for lo, hi in blocks), default=0)
-    lone = len(blocks) == 1 and out[:, slice(*blocks[0])].flags.c_contiguous
-    size = 0 if lone else o * width
     if c < _STACK_BELOW_CHANNELS:
         weights = w.transpose(0, 2, 3, 1).reshape(o, -1)
-        size += kh * kw * c * width
+        size = (o + kh * kw * c) * width
     else:
         weights = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-        size += o * width
+        size = 2 * o * width
     runs = min(workers, len(blocks))
     bias = b[:, None]
     if runs <= 1:
@@ -425,35 +314,21 @@ def conv2d(
     """Same-padded convolution, optionally followed by ReLU; returns (output, cache).
 
     x: (C, H, W); w: (O, C, kh, kw) with odd kernels; b: (O,).
-    Output: (O, ceil(H/stride), ceil(W/stride)).
+    Output: (O, ceil(H/stride), ceil(W/stride)). With ``relu=True`` the
+    cache records the mask ``output > 0`` for :func:`conv2d_backward`.
 
-    The grid is computed in cache-sized column blocks, each summed in a
-    contiguous tile whose bias add and, with ``relu=True``, ReLU run while
-    it is in cache, before it is written out once (see the module
-    docstring). A grid of several blocks, and its phase-plane fill, are
-    split across one worker thread per usable core; the blocks, and so
-    the output's bits, do not depend on the split. The cache then records
-    the mask ``output > 0`` for :func:`conv2d_backward`.
+    ``rows``, sorted disjoint half-open output-row intervals, asks for
+    those rows only; the other rows are undefined and the cache is not fit
+    for a backward.
 
-    ``rows``, a sorted list of disjoint half-open output-row intervals
-    ``(lo, hi)``, asks for those rows only: the blocks holding them run
-    whole, so their values are bit-identical to the full output's. The
-    other rows are not defined, and the cache is then not fit for
-    :func:`conv2d_backward`.
+    ``work`` (inference) supplies the phase planes, scratch and output,
+    which is its buffer ``slot`` and holds only until ``slot`` is taken
+    again. ``x`` may lie in ``slot``. The second value is then None.
 
-    ``work`` (inference) supplies the phase planes, the block scratch and
-    the output, which is its buffer ``slot`` and so holds only until
-    ``slot`` is taken again. ``x`` may lie in ``slot``: it is copied into
-    the phase planes before the output is written. No cache is made: the
-    second value is None.
-
-    Chained planes (with ``work``, 3x3 stride-1 convs only): ``frame=True``
-    writes the output grid into buffer ``slot`` at offset wq + 1 of a
-    zero-framed phase plane, the one a 3x3 stride-1 conv on the output
-    reads, and zeroes the frame and the grid's wrapped columns there; the
-    returned map is a view into it. ``framed`` names the buffer such a conv
-    wrote ``x`` into: the fill is skipped and the plane read in place. A
-    conv's ``framed`` and ``slot`` must differ.
+    Chained planes (``work``, 3x3 stride-1 only): ``frame=True`` writes the
+    output into buffer ``slot`` as the zero-framed plane its successor
+    reads and returns a view into it; ``framed`` names the buffer such a
+    conv wrote ``x`` into, which is read in place. They must differ.
     """
     c, h, wd = x.shape
     o, cw, kh, kw = w.shape
@@ -480,16 +355,9 @@ def conv2d(
         (lo // wq, min(hq, (hi - 1 + reach) // wq + 1)) for lo, hi in blocks
     ]
     plane_shape = (s * s, c, hq * wq + (kw - 1) // s)
-    if framed is not None:
-        planes = take(framed, plane_shape, x.dtype)
-    else:
-        planes = take("planes", plane_shape, x.dtype)
-        fill = (planes, x, s, hq, wq, kh, kw, plane_rows)
-        if workers > 1 and c > 1:
-            parts = min(workers, c)
-            _split(lambda k: _fill_planes(*fill, slice(k * c // parts, (k + 1) * c // parts)), range(parts))
-        else:
-            _fill_planes(*fill, slice(None))
+    planes = take("planes" if framed is None else framed, plane_shape, x.dtype)
+    if framed is None:
+        _split_channels(lambda chans: _fill_planes(planes, x, s, hq, wq, kh, kw, plane_rows, chans), c, min(workers, c))
 
     if frame:
         # the same-size successor's plane: its pixel (y, x) sits at
@@ -516,7 +384,9 @@ def conv2d(
 def conv2d_backward(grad_out: np.ndarray, cache, input_grad: bool = True):
     """Gradients of conv2d (and its ReLU, if fused) w.r.t. input, weights, and bias.
 
-    ``input_grad=False`` skips the input gradient and returns None for it.
+    Per tap: ``grad_w[:, :, i, j] = g @ slice.T``, and ``W[:, :, i, j].T @
+    g`` is added into the gradient plane at that slice. ``input_grad=False``
+    skips the input gradient and returns None for it.
     """
     (c, h, wd), w, planes, s, mask = cache
     if mask is not None:
@@ -555,22 +425,16 @@ def upsample2_backward(grad_out: np.ndarray, h_in: int, w_in: int) -> np.ndarray
     return full.reshape(c, h_in, 2, w_in, 2).sum(axis=(2, 4))
 
 
-def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None, work: Workspace | None = None) -> np.ndarray:
-    """Element-wise add of the 2x-upsampled deeper map into the current map.
+def fuse(current: np.ndarray, higher: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """Add the 2x-upsampled deeper map into ``current`` in place and return ``current``.
 
     ``higher`` must be the ceil-half spatial size of ``current`` with the
-    same channel count (project channels first). ``higher`` is copied once
-    with every column doubled, and that copy is added to the even and to
-    the odd rows of ``current``: two adds over whole rows rather than four
-    over every other element. No upsampled map is built, and every element
-    is the same single addition as ``current + upsample(higher)``. A map
-    larger than one cache block is split by channels across the conv
-    workers. In a sparse 640x640 forward (2 workers, 1 BLAS thread) the
-    fuses took 3.4 ms per image, against 7.7 ms for four strided phase
-    adds, 4.6 ms for those split by channels and 5.2 ms for the doubled
-    copy unsplit. ``out`` (which may be ``current`` itself) receives the
-    result; by default it is a new array. ``work`` (inference) holds the
-    doubled copy in its buffer ``fuse``.
+    same channel count (project channels first). It is copied once with
+    every column doubled, and the copy is added to the even and the odd
+    rows of ``current``: two adds over whole rows instead of four over
+    every other element, each element the single addition of
+    ``current + upsample(higher)``. A map over one cache block is split by
+    channels across the conv threads. ``work`` holds the doubled copy.
     """
     if current.shape[0] != higher.shape[0]:
         raise ValueError(
@@ -583,8 +447,6 @@ def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None,
         raise ValueError(
             f"fuse: higher map {higher.shape[1:]} is not ceil-half of current {current.shape[1:]}"
         )
-    if out is None:
-        out = np.empty(current.shape, np.result_type(current, higher))
     wide = (_empty if work is None else work.take)("fuse", (c, hh, 2 * wh), higher.dtype)
 
     def add(chans: slice) -> None:
@@ -592,12 +454,8 @@ def fuse(current: np.ndarray, higher: np.ndarray, out: np.ndarray | None = None,
         doubled[:, :, 0::2] = higher[chans]
         doubled[:, :, 1::2] = higher[chans]
         for a in range(2):
-            dst = out[chans, a::2]
-            np.add(current[chans, a::2], doubled[:, : dst.shape[1], :w], out=dst)
+            dst = current[chans, a::2]
+            dst += doubled[:, : dst.shape[1], :w]
 
-    parts = min(_workers(), c)
-    if parts > 1 and out.nbytes > _BLOCK_BYTES:
-        _split(lambda k: add(slice(k * c // parts, (k + 1) * c // parts)), range(parts))
-    else:
-        add(slice(None))
-    return out
+    _split_channels(add, c, min(_workers(), c) if current.nbytes > _BLOCK_BYTES else 1)
+    return current

@@ -349,10 +349,8 @@ def forward_detect(
     RawOutput rows — to a dict of parameter gradients. Only then are conv
     caches and ReLU masks kept. Without ``want_grad``, every conv runs in
     ``net.work``'s buffers, which the next image reuses, and keeps nothing
-    for a backward: a gated 640x640 forward on a net with empty buffers
-    peaks at about 59 MB of numpy memory (tracemalloc), against 177 MB when
-    every conv's phase planes and ReLU mask were kept. Both paths compute
-    the same bits.
+    for a backward, so a steady detection loop allocates no maps. Both
+    paths compute the same bits.
 
     ``gate`` (inference only) runs threshold-first inside the network:
     after a tap's classification branch it scores the tap's anchors as
@@ -403,12 +401,12 @@ def forward_detect(
     proj_shapes = [z.shape for z in feats]
 
     # One-hop fusion: each tap except the deepest absorbs its successor's
-    # projection, which is not yet fused when taken in ascending order.
-    # Without a backward, the sum goes into the projection's own buffer and
-    # the deeper map's column-doubled copy into a work buffer.
+    # projection, which is not yet fused when taken in ascending order. The
+    # sum goes into the projection in place; a backward needs only the
+    # projection's ReLU mask, taken at conv time.
     if cfg.fusion:
         for ti in range(n_taps - 1):
-            feats[ti] = fuse(feats[ti], feats[ti + 1], out=None if want_grad else feats[ti], work=work)
+            fuse(feats[ti], feats[ti + 1], work=work)
 
     # Detection heads, per tap: classification, the gate, then regression
     head_backs = []

@@ -61,12 +61,7 @@ def detect_images(
     decode_cfg = decode_cfg or DecodeConfig()
     anchors = net.config.anchors
     for key, image in images.items():
-        h, w = image.shape[-2:]
-        if (h, w) != (anchors.image_h, anchors.image_w):
-            raise ValueError(
-                f"image {key!r} is {w}x{h}, "
-                f"the net's anchors are laid out for {anchors.image_w}x{anchors.image_h}"
-            )
+        anchors.check_image(f"image {key!r}", image)
     grid = generate_anchors(anchors)
 
     def detect(pos: int, key: str) -> list[Detection]:

@@ -86,6 +86,10 @@ class TrainConfig:
             raise ValueError(f"matcher must be 'two_step' or 'baseline', got {self.matcher!r}")
         if self.lr < 0:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr_divisor <= 1:
             raise ValueError(f"lr_divisor must be > 1, got {self.lr_divisor}")
         if self.batch_size < 1 or self.epochs < 0:
@@ -230,6 +234,9 @@ def train(
         raise ValueError(
             f"augmentation needs a square anchor config, got {anchors.image_w}x{anchors.image_h}"
         )
+    if aug_cfg is None:
+        for i, (image, _) in enumerate(data):
+            anchors.check_image(f"sample {i}", image)
     grid = generate_anchors(anchors)
     velocity = {k: np.zeros_like(v) for k, v in net.params.items()}
     report = TrainReport(seed=tc.seed)

@@ -294,6 +294,41 @@ def test_zero_loss_weight_is_a_config_error(tmp_path, capsys, key, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, section, field", [
+    ("aug.hflip_prob", "7", "aug", "hflip_prob"),
+    ("aug.brightness_jitter", "-0.1", "aug", "brightness_jitter"),
+    ("train.momentum", "1", "train", "momentum"),
+    ("train.weight_decay", "-1e-4", "train", "weight_decay"),
+])
+def test_out_of_range_set_is_a_config_error(tmp_path, capsys, key, value, section, field):
+    out = tmp_path / "run"
+    assert run(["train", "--out", str(out), "--train-n", "2", "--set", f"{key}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section} config: {field} must be") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_reversed_face_sizes_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "data"
+    args = ["synth", "--out", str(out), "--set", "synth.face_size_min=30", "--set", "synth.face_size_max=20"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        "config error: synth config: face_size_min must be <= face_size_max, got 30 > 20\n"
+    )
+    assert not out.exists()
+
+
+def test_train_unaugmented_data_of_another_size_names_the_sample(tmp_path, capsys):
+    ds = tmp_path / "data"
+    assert run(["synth", "--out", str(ds), "--n", "2", "--seed", "3", "--set", "synth.image_size=96"]) == 0
+    out = tmp_path / "run"
+    args = ["train", "--data", str(ds), "--out", str(out), "--set", "train.epochs=1", "--set", "aug.enabled=false"]
+    capsys.readouterr()
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: sample 0 is 96x96, the net's anchors are laid out for 64x64\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, flag, value", [
     (["train", "--train-n", "4", "--val-n", "0", "--target-ap", "0.5", "--epochs", "1"], "--val-n", "0"),
     (["train", "--train-n", "-2"], "--train-n", "-2"),

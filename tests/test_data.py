@@ -160,8 +160,20 @@ class TestSynthDataset:
         with pytest.raises(ValueError, match="fit"):
             SynthConfig(image_size=32, face_size_max=40)
 
+    def test_face_size_range_reversed_rejected(self):
+        with pytest.raises(ValueError, match=r"^face_size_min must be <= face_size_max, got 30 > 20$"):
+            SynthConfig(face_size_min=30, face_size_max=20)
+        SynthConfig(face_size_min=20, face_size_max=20)
+
 
 class TestAugment:
+    @pytest.mark.parametrize("field, value", [
+        ("hflip_prob", 7.0), ("hflip_prob", -0.1), ("brightness_jitter", -0.1),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AugConfig(**{field: value})
+
     def test_pure_rescale(self):
         cfg = AugConfig(crop_ratio_min=1.0, crop_ratio_max=1.0, hflip_prob=0.0, brightness_jitter=0.0)
         img = np.zeros((1, 64, 64), dtype=np.float32)

@@ -132,7 +132,7 @@ class TestConv2d:
     def test_grid_off_16_columns_bands_exact(self):
         # A 20x20 map's grid has 440 columns, ending on a partial 16. Its
         # bands equal the full conv whether the grid is one block or cut
-        # into 224 + 216 columns.
+        # into 220 + 220 columns.
         rng = np.random.default_rng(20)
         for lo in range(0, 20, 2):
             x = rng.normal(size=(64, 20, 20)).astype(np.float32)
@@ -387,9 +387,8 @@ class TestColumnBlocks:
                         np.testing.assert_array_equal(chained_band[:, lo:hi], successor[:, lo:hi])
 
     def test_blocks(self):
-        # float32 64 -> 64 convs: 1,360-column cache blocks become equal
-        # widths, rounded up to 16, in a multiple of the usable cores; the
-        # last block is short
+        # float32 64 -> 64 convs: 1,365-column cache blocks become equal
+        # widths in a multiple of the usable cores; the last block is short
         def widths(n: int, cores: int) -> list[int]:
             with mock.patch.object(layers, "_cores", lambda: cores):
                 blocks = layers._blocks(n, 64, 64, 4)
@@ -398,13 +397,14 @@ class TestColumnBlocks:
             return [hi - lo for lo, hi in blocks]
 
         assert widths(160 * 162, 2) == [1296] * 20
-        assert widths(80 * 82, 2) == [1104] * 5 + [1040]  # 6 blocks, not 5
-        assert widths(40 * 42, 2) == [848, 832]  # not 1,360 + 320
-        assert widths(41 * 40, 2) == [832, 808]  # a grid off 16 columns is cut too
-        assert widths(1360, 2) == [1360]  # one cache block
+        assert widths(80 * 82, 2) == [1094] * 5 + [1090]  # 6 blocks, not 5
+        assert widths(40 * 42, 2) == [840, 840]  # not 1,365 + 315
+        assert widths(41 * 40, 2) == [820, 820]
+        assert widths(1365, 2) == [1365]  # one cache block
+        assert widths(1366, 2) == [683, 683]
         assert widths(20 * 22, 2) == [440]
         assert widths(80 * 82, 1) == [1312] * 5
-        assert widths(80 * 82, 3) == [1104] * 5 + [1040]
+        assert widths(80 * 82, 3) == [1094] * 5 + [1090]
         # the partition follows the cores, not the workers or the processes sharing them
         with mock.patch.object(layers, "_cores", lambda: 2):
             want = layers._blocks(80 * 82, 64, 64, 4)
@@ -441,14 +441,14 @@ class TestColumnBlocks:
         hi = rng.normal(size=(64, 48, 48)).astype(np.float32)
         with mock.patch.object(layers, "_workers", lambda: 1):
             want, _ = conv2d(x, w, b, relu=True)
-            want_fused = fuse(cur, hi)
+            want_fused = fuse(cur.copy(), hi)
         workers = min(2 * layers._workers() + 1, 8)
         got, fused = [], []
 
         def work():
             for _ in range(5):
                 got.append(conv2d(x, w, b, relu=True)[0])
-                fused.append(fuse(cur, hi))
+                fused.append(fuse(cur.copy(), hi))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -498,10 +498,11 @@ class TestColumnBlocks:
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_block_width(self):
-        # 1 MiB of float32 over C + 2 O rows, rounded down to 16 columns
-        assert layers._block_width(64, 64, 4) == (1 << 20) // (4 * 192) // 16 * 16 == 1360
-        assert layers._block_width(1, 8, 4) == 15408
-        assert layers._block_width(4096, 4096, 8) == 16
+        # 1 MiB of float32 over C + 2 O rows, at least one column
+        assert layers._block_width(64, 64, 4) == (1 << 20) // (4 * 192) == 1365
+        assert layers._block_width(1, 8, 4) == 15420
+        assert layers._block_width(4096, 4096, 8) == 10
+        assert layers._block_width(1 << 16, 1 << 16, 8) == 1
 
     def test_input_gradient_skipped(self):
         rng = np.random.default_rng(7)
@@ -530,19 +531,19 @@ class TestUpsampleFuse:
     def test_fuse_zero_higher_is_identity(self):
         rng = np.random.default_rng(1)
         cur = rng.normal(size=(2, 4, 4))
-        np.testing.assert_allclose(fuse(cur, np.zeros((2, 2, 2))), cur)
+        np.testing.assert_allclose(fuse(cur.copy(), np.zeros((2, 2, 2))), cur)
 
     @pytest.mark.parametrize("h, w", [(4, 4), (5, 3), (3, 5), (1, 1), (7, 8)])
     def test_fuse_bits_and_out(self, h, w):
-        # the same single addition as current + upsample2(higher), into a new
-        # array by default (current is left as it was) or into ``out``
+        # the same single addition as current + upsample2(higher), written
+        # into current, which is returned
         rng = np.random.default_rng(h * 10 + w)
         cur = rng.normal(size=(3, h, w)).astype(np.float32)
         hi = rng.normal(size=(3, -(-h // 2), -(-w // 2))).astype(np.float32)
         want = cur + upsample2(hi, h, w)
-        kept = cur.copy()
-        np.testing.assert_array_equal(fuse(cur, hi), want)
-        np.testing.assert_array_equal(cur, kept)
+        fused = cur.copy()
+        assert fuse(fused, hi) is fused
+        np.testing.assert_array_equal(fused, want)
         # split by channels across 1-3 workers (any map is over the block
         # size here), with the doubled copy in a NaN-poisoned Workspace
         for workers in (1, 2, 3):
@@ -550,10 +551,8 @@ class TestUpsampleFuse:
                     mock.patch.object(layers, "_BLOCK_BYTES", 0), \
                     mock.patch.object(layers, "_split", wraps=layers._split) as split:
                 work = poisoned_workspace({"fuse": 3 * -(-h // 2) * 2 * -(-w // 2)})
-                np.testing.assert_array_equal(fuse(cur, hi, work=work), want)
+                np.testing.assert_array_equal(fuse(cur.copy(), hi, work=work), want)
             assert split.called == (workers > 1)
-        assert fuse(cur, hi, out=cur) is cur
-        np.testing.assert_array_equal(cur, want)
 
     def test_fuse_value_blocks(self):
         cur = np.zeros((1, 4, 4))

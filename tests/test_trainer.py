@@ -91,6 +91,23 @@ class TestTrain:
         with pytest.raises(ValueError, match="matcher"):
             TrainConfig(epochs=1, matcher="fancy")
 
+    @pytest.mark.parametrize("field, value", [
+        ("momentum", 1.0), ("momentum", -0.5), ("weight_decay", -1e-4),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
+    def test_unaugmented_sample_size_checked_before_the_pool(self, monkeypatch):
+        # without augmentation every sample must have the anchors' size;
+        # the one that does not is named before any process is forked
+        pairs = small_pairs(4)
+        pairs[2] = (np.zeros((1, 96, 96), dtype=np.float32), pairs[2][1])
+        monkeypatch.setattr(forkpool, "pool", mock.Mock(side_effect=AssertionError("pool opened")))
+        net = build_network(NetConfig.toy(), seed=1)
+        with pytest.raises(ValueError, match=r"^sample 2 is 96x96, the net's anchors are laid out for 64x64$"):
+            train(net, pairs, TrainConfig(epochs=1), aug_cfg=None)
+
     def test_augmentation_needs_square_anchor_config(self):
         net = build_network(NetConfig.toy(image_w=64, image_h=96), seed=1)
         with pytest.raises(ValueError, match="square"):
