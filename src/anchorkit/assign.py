@@ -51,10 +51,10 @@ class MatchConfig:
     step2_iou_floor: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.step2_iou_floor < self.step1_iou <= 1.0):
+        if not (0.0 < self.step2_iou_floor < self.step1_iou < 1.0):
             raise ValueError(
-                f"need 0 < step2_iou_floor < step1_iou <= 1, got "
-                f"floor={self.step2_iou_floor}, step1={self.step1_iou}"
+                f"need 0 < step2_iou_floor < step1_iou < 1, got "
+                f"step2_iou_floor={self.step2_iou_floor}, step1_iou={self.step1_iou}"
             )
         if self.max_extra_anchors < 0:
             raise ValueError(f"max_extra_anchors must be >= 0, got {self.max_extra_anchors}")

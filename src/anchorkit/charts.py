@@ -40,36 +40,29 @@ def line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    x_range: tuple[float, float] = (0.0, 1.0),
-    y_range: tuple[float, float] = (0.0, 1.0),
 ) -> None:
-    """Write a single-series line chart as a standalone SVG document."""
+    """Write a single-series line chart over the unit square as a standalone SVG document."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} x values vs {len(ys)} y values")
-    lo_x, hi_x = x_range
-    lo_y, hi_y = y_range
-    span_x = hi_x - lo_x or 1.0
-    span_y = hi_y - lo_y or 1.0
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
 
     def px(x: float) -> float:
-        return _ML + (x - lo_x) / span_x * plot_w
+        return _ML + x * plot_w
 
     def py(y: float) -> float:
-        return _H - _MB - (y - lo_y) / span_y * plot_h
+        return _H - _MB - y * plot_h
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}">']
     parts += _axes(title, x_label, y_label)
-    for frac in (0.0, 0.5, 1.0):
-        vx, vy = lo_x + frac * span_x, lo_y + frac * span_y
+    for v in (0.0, 0.5, 1.0):
         parts.append(
-            f'<text x="{_fmt(px(vx))}" y="{_H - _MB + 16}" text-anchor="middle" '
-            f'font-size="11">{vx:g}</text>'
+            f'<text x="{_fmt(px(v))}" y="{_H - _MB + 16}" text-anchor="middle" '
+            f'font-size="11">{v:g}</text>'
         )
         parts.append(
-            f'<text x="{_ML - 6}" y="{_fmt(py(vy) + 4)}" text-anchor="end" '
-            f'font-size="11">{vy:g}</text>'
+            f'<text x="{_ML - 6}" y="{_fmt(py(v) + 4)}" text-anchor="end" '
+            f'font-size="11">{v:g}</text>'
         )
     if xs:
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))

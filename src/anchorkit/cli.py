@@ -174,8 +174,8 @@ def cmd_rf(args: argparse.Namespace) -> int:
 
 def cmd_match_demo(args: argparse.Namespace) -> int:
     rc = _load_run_config(args)
-    images, gts = synth_dataset(rc.build("synth"), 1, args.seed)
-    boxes = gts.boxes["000000.pgm"]
+    _, gts = synth_dataset(rc.build("synth"), 1, args.seed)
+    (boxes,) = gts.boxes.values()
     grid = generate_anchors(rc.build("anchor"))
     match_cfg = rc.build("match")
     base = match_baseline(grid, boxes, match_cfg.step1_iou)
@@ -217,8 +217,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    for i, img in enumerate(images):
-        key = f"{i:06d}.pgm"
+    for key, img in zip(gts.boxes, images):
         (out / key).write_bytes(save_pgm(img))
         faces = [
             FaceAnnotation(
@@ -267,6 +266,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         for rec in records:
             if rec.image_path not in images:
                 raise ValueError(f"annotations.txt names {rec.image_path!r}, which is not an image in {data_dir}")
+            if aug_cfg is None:
+                net.config.anchors.check_image(f"image {rec.image_path!r}", images[rec.image_path])
         pairs = [
             (images[rec.image_path],
              [b for b, ig in zip(truth.boxes[rec.image_path], truth.ignore[rec.image_path]) if not ig])
@@ -280,7 +281,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         val_images, val_gts = synth_dataset(
             rc.build("synth"), args.val_n, args.seed + VAL_SEED_OFFSET
         )
-        val_keyed = {f"{i:06d}.pgm": img for i, img in enumerate(val_images)}
+        val_keyed = dict(zip(val_gts.boxes, val_images))
         decode_cfg = rc.build("decode")
 
         def callback(epoch: int, net_: Network, stats) -> bool:
@@ -334,12 +335,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     with Path(args.weights).open("rb") as fh:
         params = load_weights(fh)
     _check_weights(params, build_network(net_cfg).params)
-    net = Network(config=net_cfg, params=params, seed=args.seed)
+    net = Network(config=net_cfg, params=params)
     if args.images:
         images = _load_image_dir(Path(args.images))
     else:
-        synth_images, _ = synth_dataset(rc.build("synth"), args.synth_n, args.seed)
-        images = {f"{i:06d}.pgm": img for i, img in enumerate(synth_images)}
+        synth_images, truth = synth_dataset(rc.build("synth"), args.synth_n, args.seed)
+        images = dict(zip(truth.boxes, synth_images))
     dets = detect_images(net, images, rc.build("decode"))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

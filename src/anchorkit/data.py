@@ -59,9 +59,6 @@ class FaceAnnotation:
         """Flagged invalid or degenerate; kept but excluded from evaluation."""
         return bool(self.invalid) or self.w <= 0 or self.h <= 0
 
-    def to_box(self) -> Box:
-        return Box.from_xywh(self.x, self.y, self.w, self.h)
-
     def to_line(self) -> str:
         return (
             f"{self.x} {self.y} {self.w} {self.h} {self.blur} {self.expression} "

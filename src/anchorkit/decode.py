@@ -8,13 +8,7 @@ score_threshold`` the two paths produce identical detections; the
 improved one just performs far fewer offset decodes, which
 :func:`bench_decode` quantifies. Both stop greedy NMS at ``max_detections``
 kept boxes, which bounds the cost when every anchor passes the gate
-without changing the output. A bounded NMS also compares each kept box
-only with the rows among the first 1,024 of the score order, where
-``max_detections`` is usually reached; if it is not, the kept boxes are
-replayed once against the rest and the loop continues over every row.
-No pair is compared twice, so the work never exceeds the loop without a
-horizon, and each candidate has met every kept box above it before it
-is examined, so the output is the same (see :func:`nms_rows`).
+without changing the output (see :func:`nms_rows`).
 
 ``pipeline.detect_images`` takes the gate one level up: its forward
 (``forward_detect(gate=...)``) regresses only the map rows that hold
@@ -240,18 +234,24 @@ def _check_hot_fraction(hot_fraction: float) -> None:
         raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
 
 
+# shared target boxes of a synthetic output's hot anchors
+_SYNTH_CLUSTERS = 8
+
+# untimed calls of each path before a benchmark's timed repeats
+_BENCH_WARMUP = 5
+
+
 def synth_raw_output(
     grid: AnchorGrid,
     hot_fraction: float,
     seed: int,
     score_threshold: float = 0.1,
-    clusters: int = 8,
 ) -> RawOutput:
     """Seeded raw output with a controlled fraction of above-threshold anchors.
 
-    Hot anchors score in (0.3, 0.99) and regress exactly onto a handful of
-    shared target boxes (so suppression stays cheap and output-stable);
-    cold anchors score well below the gate.
+    Hot anchors score in (0.3, 0.99) and regress exactly onto
+    :data:`_SYNTH_CLUSTERS` shared target boxes (so suppression stays cheap
+    and output-stable); cold anchors score well below the gate.
     """
     _check_hot_fraction(hot_fraction)
     n = len(grid)
@@ -270,9 +270,9 @@ def synth_raw_output(
     if n_hot:
         w, h = grid.config.image_w, grid.config.image_h
         side = max(8.0, min(w, h) / 8.0)
-        centers_x = rng.uniform(side, max(side + 1.0, w - side), size=clusters)
-        centers_y = rng.uniform(side, max(side + 1.0, h - side), size=clusters)
-        which = np.arange(n_hot) % clusters
+        centers_x = rng.uniform(side, max(side + 1.0, w - side), size=_SYNTH_CLUSTERS)
+        centers_y = rng.uniform(side, max(side + 1.0, h - side), size=_SYNTH_CLUSTERS)
+        which = np.arange(n_hot) % _SYNTH_CLUSTERS
         tx1 = centers_x[which] - side / 2
         ty1 = centers_y[which] - side / 2
         rows = grid.boxes[hot]
@@ -291,7 +291,6 @@ def synth_raw_output(
 class BenchReport:
     anchors: int
     hot_fraction: float
-    repeats: int
     baseline_mean_ns: float
     baseline_stddev_ns: float
     improved_mean_ns: float
@@ -325,7 +324,6 @@ def bench_decode(
     hot_fraction: float,
     repeats: int = 50,
     seed: int = 0,
-    warmup: int = 5,
     cfg: DecodeConfig | None = None,
 ) -> BenchReport:
     """Time both decode paths on a seeded synthetic raw output.
@@ -341,36 +339,26 @@ def bench_decode(
     cfg = cfg or DecodeConfig()
     grid = _bench_grid(anchor_count)
     raw = synth_raw_output(grid, hot_fraction, seed, score_threshold=cfg.score_threshold)
+    paths = (decode_baseline, decode_improved)
 
-    for _ in range(warmup):
-        decode_baseline(raw, grid, cfg)
-        decode_improved(raw, grid, cfg)
+    for _ in range(_BENCH_WARMUP):
+        for decode in paths:
+            decode(raw, grid, cfg)
 
-    base_ns = np.empty(repeats)
-    impr_ns = np.empty(repeats)
+    ns = np.empty((2, repeats))
     equal = True
-    base_ops = impr_ops = 0
     gc_was_on = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         for r in range(repeats):
             # alternate measurement order so cache/scheduler drift hits both paths
-            if r % 2 == 0:
+            results = [None, None]
+            for i in (0, 1) if r % 2 == 0 else (1, 0):
                 t0 = time.perf_counter_ns()
-                rb = decode_baseline(raw, grid, cfg)
-                t1 = time.perf_counter_ns()
-                ri = decode_improved(raw, grid, cfg)
-                t2 = time.perf_counter_ns()
-                base_ns[r], impr_ns[r] = t1 - t0, t2 - t1
-            else:
-                t0 = time.perf_counter_ns()
-                ri = decode_improved(raw, grid, cfg)
-                t1 = time.perf_counter_ns()
-                rb = decode_baseline(raw, grid, cfg)
-                t2 = time.perf_counter_ns()
-                impr_ns[r], base_ns[r] = t1 - t0, t2 - t1
-            base_ops, impr_ops = rb.decode_ops, ri.decode_ops
+                results[i] = paths[i](raw, grid, cfg)
+                ns[i, r] = time.perf_counter_ns() - t0
+            rb, ri = results
             if rb.detections != ri.detections:
                 equal = False
     finally:
@@ -379,13 +367,12 @@ def bench_decode(
     return BenchReport(
         anchors=len(grid),
         hot_fraction=hot_fraction,
-        repeats=repeats,
-        baseline_mean_ns=float(base_ns.mean()),
-        baseline_stddev_ns=float(base_ns.std()),
-        improved_mean_ns=float(impr_ns.mean()),
-        improved_stddev_ns=float(impr_ns.std()),
-        baseline_ops=base_ops,
-        improved_ops=impr_ops,
+        baseline_mean_ns=float(ns[0].mean()),
+        baseline_stddev_ns=float(ns[0].std()),
+        improved_mean_ns=float(ns[1].mean()),
+        improved_stddev_ns=float(ns[1].std()),
+        baseline_ops=rb.decode_ops,
+        improved_ops=ri.decode_ops,
         outputs_equal=equal,
     )
 

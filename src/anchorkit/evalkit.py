@@ -126,9 +126,6 @@ class PRCurve:
     precisions: np.ndarray
     thresholds: np.ndarray | None = None
 
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.recalls.tolist(), self.precisions.tolist()))
-
     def to_csv(self, out: TextIO) -> None:
         out.write("recall,precision\n" if self.thresholds is None else "recall,precision,score\n")
         for i in range(self.recalls.size):

@@ -108,7 +108,6 @@ class LossOutput:
     cls_term: float
     reg_term: float
     n_cls: int
-    n_reg: int
     selected_negatives: np.ndarray
     grad_logits: np.ndarray = field(repr=False)  # (N, 2)
     grad_offsets: np.ndarray = field(repr=False)  # (N, 4)
@@ -129,7 +128,8 @@ def multitask_loss(
     and the mined negatives (near misses are never mined, see
     :func:`ohem_select`) and is divided by that anchor count; the
     regression sum runs over positives (all 4 components, no per-component
-    averaging) and is divided by max(n_pos, 1).
+    averaging) and is divided by the positive count; without positives
+    it is 0.
     """
     logits = np.asarray(logits)
     offsets = np.asarray(offsets)
@@ -158,14 +158,13 @@ def multitask_loss(
         cls_term = float(ce_values[counted].sum() / n_cls)
         grad_logits[counted] = ce_grads[counted] / n_cls
 
-    n_reg = max(n_pos, 1)
     grad_offsets = np.zeros_like(offsets)
     reg_term = 0.0
     if n_pos > 0:
         diff = offsets[pos] - targets[pos]
         value, deriv = smooth_l1(diff)
-        reg_term = float(value.sum() / n_reg)
-        grad_offsets[pos] = lam * deriv / n_reg
+        reg_term = float(value.sum() / n_pos)
+        grad_offsets[pos] = lam * deriv / n_pos
 
     total = cls_term + lam * reg_term
     return LossOutput(
@@ -173,7 +172,6 @@ def multitask_loss(
         cls_term=cls_term,
         reg_term=reg_term,
         n_cls=int(n_cls),
-        n_reg=int(n_reg),
         selected_negatives=selected,
         grad_logits=grad_logits,
         grad_offsets=grad_offsets,

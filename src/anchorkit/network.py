@@ -33,9 +33,7 @@ __all__ = [
     "build_network",
     "detection_head",
     "face_scores",
-    "flatten_maps",
     "forward_detect",
-    "parameter_count",
     "save_weights",
     "load_weights",
     "tap_conv_stacks",
@@ -158,14 +156,12 @@ class Network:
 
     config: NetConfig
     params: dict[str, np.ndarray] = field(repr=False)
-    seed: int
     work: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     def astype(self, dtype) -> "Network":
         return Network(
             config=self.config,
             params={k: v.astype(dtype) for k, v in self.params.items()},
-            seed=self.seed,
         )
 
 
@@ -203,11 +199,7 @@ def build_network(cfg: NetConfig, seed: int = 0) -> Network:
     for ti in range(len(cfg.taps)):
         for name, out_ch, tap_in, k in _head_param_specs(cfg, f"head{ti}"):
             add_conv(name, out_ch, tap_in, k)
-    return Network(config=cfg, params=params, seed=seed)
-
-
-def parameter_count(net: Network) -> int:
-    return sum(v.size for v in net.params.values())
+    return Network(config=cfg, params=params)
 
 
 def face_scores(logits: np.ndarray) -> np.ndarray:
@@ -316,11 +308,6 @@ def _map_rows(m: np.ndarray) -> np.ndarray:
     would still be the work buffer that the next tap's convs overwrite.
     """
     return np.array(np.moveaxis(m, 0, 2), order="C").reshape(-1, m.shape[0])
-
-
-def flatten_maps(cls_map: np.ndarray, reg_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major flatten of (C, H, W) head maps to (H*W, C) anchor rows."""
-    return _map_rows(cls_map), _map_rows(reg_map)
 
 
 def _gated_rows(logits: np.ndarray, gate: float, h: int, w: int) -> np.ndarray:

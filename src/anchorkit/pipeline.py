@@ -38,9 +38,7 @@ def synth_pairs(
 ) -> tuple[list[tuple[np.ndarray, list[Box]]], GroundTruthSet]:
     """Synthetic (image, boxes) training pairs plus the matching truth set."""
     images, gts = synth_dataset(cfg, n, seed)
-    keys = [f"{i:06d}.pgm" for i in range(n)]
-    pairs = [(img, gts.boxes[key]) for img, key in zip(images, keys)]
-    return pairs, gts
+    return list(zip(images, gts.boxes.values())), gts
 
 
 def detect_images(
@@ -78,9 +76,8 @@ def validation_ap(
     val_images: dict[str, np.ndarray],
     val_gts: GroundTruthSet,
     decode_cfg: DecodeConfig | None = None,
-    iou_thresh: float = 0.5,
 ) -> float:
-    """AP at ``iou_thresh`` of :func:`detect_images` over ``val_images`` against ``val_gts``.
+    """AP at IoU 0.5 of :func:`detect_images` over ``val_images`` against ``val_gts``.
 
     The images run on the detection pool (one process per usable core),
     also inside a training run's ``epoch_callback``: there the training
@@ -88,5 +85,5 @@ def validation_ap(
     caller's conv-thread share and BLAS thread count when it is done.
     """
     dets = detect_images(net, val_images, decode_cfg)
-    ap, _ = evaluate_ap(dets, val_gts, iou_thresh)
+    ap, _ = evaluate_ap(dets, val_gts)
     return ap

@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.plateau_patience < 1:
+            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if self.lr_divisor <= 1:
             raise ValueError(f"lr_divisor must be > 1, got {self.lr_divisor}")
         if self.batch_size < 1 or self.epochs < 0:
@@ -129,7 +131,6 @@ class StepStats:
 @dataclass
 class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
-    seed: int = 0
     stopped_early: bool = False
 
     def to_csv(self, out: TextIO) -> None:
@@ -239,7 +240,7 @@ def train(
             anchors.check_image(f"sample {i}", image)
     grid = generate_anchors(anchors)
     velocity = {k: np.zeros_like(v) for k, v in net.params.items()}
-    report = TrainReport(seed=tc.seed)
+    report = TrainReport()
     lr = tc.lr
     best = np.inf
     stale = 0

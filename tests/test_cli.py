@@ -299,6 +299,7 @@ def test_zero_loss_weight_is_a_config_error(tmp_path, capsys, key, field):
     ("aug.brightness_jitter", "-0.1", "aug", "brightness_jitter"),
     ("train.momentum", "1", "train", "momentum"),
     ("train.weight_decay", "-1e-4", "train", "weight_decay"),
+    ("train.plateau_patience", "-5", "train", "plateau_patience"),
 ])
 def test_out_of_range_set_is_a_config_error(tmp_path, capsys, key, value, section, field):
     out = tmp_path / "run"
@@ -325,7 +326,30 @@ def test_train_unaugmented_data_of_another_size_names_the_sample(tmp_path, capsy
     args = ["train", "--data", str(ds), "--out", str(out), "--set", "train.epochs=1", "--set", "aug.enabled=false"]
     capsys.readouterr()
     assert run(args) == 1
-    assert capsys.readouterr().err == "error: sample 0 is 96x96, the net's anchors are laid out for 64x64\n"
+    assert capsys.readouterr().err == (
+        "error: image '000000.pgm' is 96x96, the net's anchors are laid out for 64x64\n"
+    )
+    assert not out.exists()
+
+
+def test_train_augmented_data_of_another_size_is_resized(tmp_path):
+    # augment() resizes every sample to the anchor config's size, so only
+    # unaugmented training checks the size of --data images
+    ds = tmp_path / "data"
+    assert run(["synth", "--out", str(ds), "--n", "2", "--seed", "3", "--set", "synth.image_size=96"]) == 0
+    assert run(["train", "--data", str(ds), "--out", str(tmp_path / "run"), "--set", "train.epochs=1"]) == 0
+
+
+def test_step1_iou_of_one_is_a_config_error(tmp_path, capsys):
+    # the baseline matcher needs an IoU threshold below 1, so both matchers get the same rule
+    out = tmp_path / "run"
+    args = ["train", "--out", str(out), "--train-n", "2",
+            "--set", "match.step1_iou=1", "--set", "train.matcher=baseline"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        "config error: match config: need 0 < step2_iou_floor < step1_iou < 1, "
+        "got step2_iou_floor=0.1, step1_iou=1.0\n"
+    )
     assert not out.exists()
 
 

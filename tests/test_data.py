@@ -25,7 +25,8 @@ class TestAnnotationParsing:
         rec = records[0]
         assert rec.image_path == "a.jpg"
         assert len(rec.faces) == 1
-        assert rec.faces[0].to_box() == Box(10, 10, 30, 30)
+        face = rec.faces[0]
+        assert (face.x, face.y, face.w, face.h) == (10, 10, 20, 20)
 
     def test_zero_count_with_placeholder(self):
         records = parse_widerface_annotations("b.jpg\n0\n0 0 0 0 0 0 0 0 0 0\n")

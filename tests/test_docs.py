@@ -1,4 +1,4 @@
-"""The package's docstrings and comments state reasons and invariants, not measurements.
+"""The package's docstrings and comments, and the README, state reasons and invariants, not measurements.
 
 Timings and memory figures depend on the machine and go stale with the
 code; they are recorded in CHANGES.md with the hardware they came from.
@@ -39,6 +39,16 @@ def test_no_measured_figures_in_docstrings_or_comments():
         f"{path.name}:{line}: {match.group(0)!r}"
         for path in sorted(root.glob("*.py"))
         for line, text in prose(path.read_text())
+        for match in MEASURED.finditer(text)
+    ]
+    assert not found, "measured figures belong in CHANGES.md:\n" + "\n".join(found)
+
+
+def test_no_measured_figures_in_readme():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    found = [
+        f"README.md:{line}: {match.group(0)!r}"
+        for line, text in enumerate(readme.read_text().splitlines(), 1)
         for match in MEASURED.finditer(text)
     ]
     assert not found, "measured figures belong in CHANGES.md:\n" + "\n".join(found)

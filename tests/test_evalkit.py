@@ -120,15 +120,15 @@ class TestMatchDetections:
 class TestPRCurve:
     def test_single_tp(self):
         c = pr_curve([True], 1)
-        assert c.points() == [(1.0, 1.0)]
+        assert (c.recalls.tolist(), c.precisions.tolist()) == ([1.0], [1.0])
 
     def test_tp_fp(self):
         c = pr_curve([True, False], 2)
-        assert c.points() == [(0.5, 1.0), (0.5, 0.5)]
+        assert (c.recalls.tolist(), c.precisions.tolist()) == ([0.5, 0.5], [1.0, 0.5])
 
     def test_fp_tp(self):
         c = pr_curve([False, True], 1)
-        assert c.points() == [(0.0, 0.0), (1.0, 0.5)]
+        assert (c.recalls.tolist(), c.precisions.tolist()) == ([0.0, 1.0], [0.0, 0.5])
 
     def test_zero_gt_rejected(self):
         with pytest.raises(ValueError, match="n_gt"):

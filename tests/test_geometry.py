@@ -29,7 +29,6 @@ class TestBox:
     def test_properties(self):
         b = Box(1, 2, 4, 8)
         assert b.width == 3 and b.height == 6 and b.area == 18
-        assert b.center == (2.5, 5.0)
 
     @pytest.mark.parametrize("corners", [(0, 0, 0, 10), (0, 0, 10, 0), (5, 5, 4, 6)])
     def test_degenerate_rejected(self, corners):

@@ -137,7 +137,16 @@ class TestMultitaskLoss:
         assert out.total == pytest.approx(math.log(2) + 4 * 0.125)
         assert out.cls_term == pytest.approx(math.log(2))
         assert out.reg_term == pytest.approx(0.125)
-        assert out.n_cls == 1 and out.n_reg == 1
+        assert out.n_cls == 1
+
+    def test_regression_divided_by_positive_count(self):
+        # two positives (one per face), each offset off by 0.5: the smooth-L1
+        # sum 2 * 0.125 is divided by 2, and so is each gradient row
+        assignment = make_assignment([0, 1])
+        offsets = np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+        out = multitask_loss(np.zeros((2, 2)), offsets, assignment, np.zeros((2, 4)), lam=4.0, ohem_ratio=3)
+        assert out.reg_term == 0.125
+        np.testing.assert_array_equal(out.grad_offsets, 4.0 * offsets / 2)  # lam * x / n_pos
 
     def test_perfect_predictions(self):
         assignment = make_assignment([0, -1, -1])
