@@ -61,37 +61,25 @@ and the pool leaves BLAS at the caller's count.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import pickle
 import signal
 from contextlib import contextmanager
 from multiprocessing.connection import Connection, Pipe
-from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
-
-import numpy as np
 
 from . import layers
 
 __all__ = ["blas_threads", "pool"]
 
 
-@functools.cache
 def blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if there is none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None if there is none.
+
+    The library is the one ``layers`` binds its GEMMs in (``layers._openblas``).
+    """
+    blas = layers._openblas()
+    return None if blas is None else blas[:2]
 
 
 def _portable(exc: Exception) -> Exception:

@@ -3,7 +3,9 @@
 Tensors are single-image (C, H, W) arrays; weights are (out_ch, in_ch,
 kh, kw). Convolutions use "same" padding (k - 1) // 2, so the output is
 ceil(in / stride) per axis, as the anchor layout expects. Every op keeps
-its inputs' dtype (float32 in training, float64 in gradient checks).
+its inputs' dtype (float32 in training, float64 in gradient checks); a
+conv of mixed inputs computes in ``result_type(x, w)``, its planes filled
+in it and its weights cast to it, so every GEMM takes one dtype.
 
 Phase planes. conv2d pads its input once into stride**2 contiguous
 (C, hq*wq) phase planes: phase (a, b) holds the padded pixels at rows
@@ -14,28 +16,38 @@ takes without a copy, so no im2col buffer is built. The output is an
 columns wrap into the next row: forward cuts them, backward zeroes them.
 
 Blocks, and bits by construction. The grid is computed in column blocks
-of ``_BLOCK_BYTES // (itemsize * (C + 2 * O))`` columns, so a block's
-input slice, partial sum and tile fit in L2 together. A longer grid is
-cut into that many blocks, rounded up to a multiple of the usable cores
-so threads get equal shares, of equal widths from grid column 0. A
-column's bits come from its block's calls alone: GEMMs of fixed widths
-at fixed offsets, then adds, bias and ReLU in a fixed order. The blocks
-depend on the conv's shape and the core count only, so the bits do not
-depend on the thread count, on which thread runs a block, or on whether
-other blocks run. The BLAS need only repeat a call's bits and compute
-each output column from its own operand column. Another core count, or
-another summation order such as one im2col GEMM, moves the last bits.
+of ``_BLOCK_BYTES // (itemsize * (K + O))`` columns, so a block's GEMM
+operand (K = C rows per tap, C*kh*kw stacked) and its tile fit in L2
+together. A longer grid is cut into that many blocks, rounded up to a
+multiple of the usable cores so threads get equal shares, of equal
+widths from grid column 0. A column's bits come from its block's calls
+alone: GEMMs of fixed widths at fixed offsets, then bias and ReLU in a
+fixed order. The blocks depend on the conv's shape and the core count
+only, so the bits do not depend on the thread count, on which thread
+runs a block, or on whether other blocks run. The BLAS need only repeat
+a call's bits and compute each output column from its own operand
+column. Another core count, or another summation order such as one
+im2col GEMM, moves the last bits.
 
 The tile. Each block is summed in a contiguous (O, width) tile from its
-run's scratch: the first tap's GEMM goes into the tile, each later one
-into a partial sum added to it, then the bias, and the tile is written
-out once, through ReLU or as a copy. Output rows lie a grid row apart,
-so adds there would stream through memory; in the tile the adds, bias
-and ReLU stay in cache, and ReLU takes no pass of its own. Inputs with
-fewer than ``_STACK_BELOW_CHANNELS`` channels stack a block's tap slices
-into one (C*kh*kw, width) operand for a single GEMM, since a per-tap
-product would have K = C, too thin for BLAS, and its partial sums would
-move more memory than copying the thin input.
+run's scratch: the first tap's GEMM writes the tile (beta = 0, which
+never reads it), each later one adds its product into it inside the GEMM
+(C := W X + C, beta = 1), then the bias, and the tile is written out
+once, through ReLU or as a copy. Output rows lie a grid row apart, so
+adds there would stream through memory; in the tile the bias and ReLU
+stay in cache, and ReLU takes no pass of its own. Inputs with fewer than
+``_STACK_BELOW_CHANNELS`` channels stack a block's tap slices into one
+(C*kh*kw, width) operand for a single GEMM, since a per-tap product
+would have K = C, too thin for BLAS.
+
+The GEMM. :func:`_gemm` calls numpy's bundled OpenBLAS through ctypes
+for the beta = 1 that numpy's matmul lacks; a beta = 0 product is
+np.matmul's, the same GEMM call. OpenBLAS sums a product over K and then
+adds it to C, so with alpha = 1 a call has the bits of np.matmul into a
+buffer and an add, as long as K fits OpenBLAS's K block (a few hundred;
+every conv of the stock nets has K < 9 * 16). That numpy path runs where
+numpy ships no OpenBLAS, for tiles too small to repay a foreign call
+(``_FOREIGN_MIN_TILE``), and in the tests as the reference.
 
 Thread share. A grid of several blocks runs on this process's share of
 the usable cores (``os.sched_getaffinity``), the cores divided by
@@ -43,8 +55,9 @@ the usable cores (``os.sched_getaffinity``), the cores divided by
 x threads stays within the cores. The blocks split into contiguous runs,
 one per thread, the first on the calling thread; the plane fill splits
 by channels. Each run's scratch is taken before dispatch, so only the
-calling thread touches a :class:`Workspace`. numpy releases the GIL in
-GEMMs and copies. A forked child drops the pool whose threads it lacks.
+calling thread touches a :class:`Workspace`. numpy and ctypes release
+the GIL in GEMMs and copies. A forked child drops the pool whose threads
+it lacks.
 
 Banded rows. ``rows`` asks for some output rows only (a gated forward):
 conv2d runs whole the blocks holding a column of them and fills only the
@@ -62,10 +75,13 @@ was asked for, as a branch widens each conv's rows by the later halos.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 
@@ -81,18 +97,114 @@ __all__ = [
 # BLAS; those convs stack the tap slices into one GEMM instead.
 _STACK_BELOW_CHANNELS = 16
 
-# A conv sums its tap GEMMs over column blocks whose input, partial-sum and
-# output slices take about this many bytes, so they stay in L2.
+# A conv sums its tap GEMMs over column blocks whose GEMM operand and tile
+# take about this many bytes, so they stay in L2.
 _BLOCK_BYTES = 1 << 20
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS as ``(get_threads, set_threads, gemms)``, or None if there is none.
+
+    ``gemms`` maps float32 and float64 to the library's CBLAS GEMM. A
+    ``64_`` symbol suffix marks the 64-bit integer interface.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            index = ctypes.c_int64 if suffix else ctypes.c_int
+            gemms = {}
+            for dtype, real, name in ((np.float32, ctypes.c_float, "s"), (np.float64, ctypes.c_double, "d")):
+                gemm = getattr(lib, f"{prefix}cblas_{name}gemm{suffix}", None)
+                if gemm is not None:
+                    # order, transA, transB, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc
+                    gemm.restype = None
+                    gemm.argtypes = [ctypes.c_int] * 3 + [index] * 3 + [real] \
+                        + [ctypes.c_void_p, index] * 2 + [real, ctypes.c_void_p, index]
+                    gemms[np.dtype(dtype)] = gemm
+            return get, put, gemms
+    return None
+
+
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112  # CBLAS enum values
+
+
+# A ctypes GEMM call costs more than an np.matmul call. For a tile of
+# fewer elements than this, the add into it that beta = 1 saves costs less
+# than that difference, so its products run in numpy, with the same bits.
+# (The input gradient adds into strided planes, which pays at any size.)
+_FOREIGN_MIN_TILE = 1 << 14
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, calls, trans_a: bool = False, least: int = 0) -> None:
+    """``C := op(A[t]) @ B + beta * C`` for the t-th ``(B row, B column, C row, C column, beta)`` of ``calls``.
+
+    The calls run in order. ``a`` stacks one matrix per call, op(A[t])
+    m x k: A[t] itself, or its transpose with ``trans_a``. B and C are the
+    k x n and m x n windows of the 2-D arrays ``b`` and ``c`` whose
+    top-left elements sit at the call's rows and columns. beta is 0.0,
+    which never reads C, or 1.0, which adds the product into C.
+
+    A beta = 0 call is np.matmul into C, which calls the same GEMM at a
+    lower cost per call. A beta = 1 call is one GEMM in numpy's bundled
+    OpenBLAS when C has at least ``least`` elements, m, n, k > 1 (numpy's
+    matmul calls GEMM only then), and the three arrays share a float32 or
+    float64 dtype, are C-contiguous and hold the call's operands.
+    Otherwise np.matmul computes the product into a buffer that is then
+    added to C. Each way gives the same bits (see the module docstring).
+    """
+    rows, cols = a.shape[1:]
+    m, k = (cols, rows) if trans_a else (rows, cols)
+    gemm = None
+    if m * n >= least and min(m, n, k) > 1 and any(call[4] for call in calls):
+        blas = _openblas()
+        if (
+            blas is not None
+            and a.dtype == b.dtype == c.dtype
+            and (a.ndim, b.ndim, c.ndim) == (3, 2, 2) and len(calls) <= len(a)
+            and a.flags.c_contiguous and b.flags.c_contiguous and c.flags.c_contiguous
+        ):
+            gemm = blas[2].get(c.dtype)
+    if gemm is not None:
+        (lda, ldb, ldc), item = (a.shape[2], b.shape[1], c.shape[1]), c.itemsize
+        pa, pb, pc = a.ctypes.data, b.ctypes.data, c.ctypes.data
+        op = _TRANS if trans_a else _NO_TRANS
+    part = None  # the products added to C on the numpy path
+    for t, (rb, cb, rc, cc, beta) in enumerate(calls):
+        if (
+            beta and gemm is not None
+            and 0 <= rb <= b.shape[0] - k and 0 <= cb <= ldb - n
+            and 0 <= rc <= c.shape[0] - m and 0 <= cc <= ldc - n
+        ):
+            gemm(_ROW_MAJOR, op, _NO_TRANS, m, n, k, 1.0, pa + t * m * k * item, lda,
+                 pb + (rb * ldb + cb) * item, ldb, 1.0, pc + (rc * ldc + cc) * item, ldc)
+            continue
+        op_a = a[t].T if trans_a else a[t]
+        out = c[rc : rc + m, cc : cc + n]
+        if beta:
+            if part is None:
+                part = np.empty((m, n), np.result_type(a, b))
+            np.matmul(op_a, b[rb : rb + k, cb : cb + n], out=part)
+            out += part
+        else:
+            np.matmul(op_a, b[rb : rb + k, cb : cb + n], out=out)
+
+
+@functools.cache  # a net has few conv shapes, and every conv call asks for its layout
 def _layout(h: int, wd: int, kh: int, kw: int, s: int):
     """Output size, phase-plane size and the (phase, offset) of each tap."""
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
     h_out = (h + 2 * ph - kh) // s + 1
     w_out = (wd + 2 * pw - kw) // s + 1
     hq, wq = -(-(h + 2 * ph) // s), -(-(wd + 2 * pw) // s)
-    taps = [((i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    taps = tuple(((i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw))
     return h_out, w_out, hq, wq, taps
 
 
@@ -141,9 +253,10 @@ def _empty(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-def _block_width(c: int, o: int, itemsize: int) -> int:
-    """Grid columns per block: its input, partial-sum and output slices fill ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (itemsize * (c + 2 * o)))
+def _block_width(k: int, o: int, itemsize: int) -> int:
+    """Grid columns per block: its GEMM operand (k rows: the input channels, or kh*kw
+    times them for stacked taps) and its tile (o rows) fill ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (itemsize * (k + o)))
 
 
 # Processes that share this process's cores. A forkpool pool sets it
@@ -164,9 +277,9 @@ def _workers() -> int:
     return max(1, _cores() // _processes)
 
 
-def _blocks(n: int, c: int, o: int, itemsize: int) -> list[tuple[int, int]]:
+def _blocks(n: int, k: int, o: int, itemsize: int) -> list[tuple[int, int]]:
     """The column blocks ``(lo, hi)`` an n-column grid is computed in (see the module docstring)."""
-    count = -(-n // _block_width(c, o, itemsize))
+    count = -(-n // _block_width(k, o, itemsize))
     if count > 1:
         count = -(-count // _cores()) * _cores()
     width = -(-n // count)
@@ -247,28 +360,28 @@ def _fill_planes(planes: np.ndarray, x: np.ndarray, s: int, hq: int, wq: int, kh
                 g[:, lo:hi, cols] = x[chans, y : y + (hi - lo - 1) * s + 1 : s, xs]
 
 
-def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.ndarray, bias: np.ndarray, taps, out: np.ndarray, relu: bool):
+def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.ndarray, stack: bool, bias: np.ndarray, taps, out: np.ndarray, relu: bool):
     """Write the conv into columns [lo, hi) of ``out`` for each (lo, hi) of ``blocks``.
 
-    ``weights`` is (O, kh*kw*C) for stacked taps, (kh*kw, O, C) per tap.
-    ``scratch`` holds the tile, then the stacked taps or the partial sum.
+    ``planes`` is (s*s*C, plane length) and each tap (its first plane
+    row, its column offset). ``weights`` is (1, O, kh*kw*C) for stacked
+    taps (``stack``), (kh*kw, O, C) per tap. ``scratch`` holds the tile,
+    then the stacked taps.
     """
     o = out.shape[0]
     for lo, hi in blocks:
         m = hi - lo
-        tile, rest = scratch[: o * m].reshape(o, m), scratch[o * m :]
-        if weights.ndim == 2:
-            stacked = rest[: weights.shape[1] * m].reshape(len(taps), -1, m)
-            for t, (p, off) in enumerate(taps):
-                stacked[t] = planes[p, :, off + lo : off + hi]
-            np.matmul(weights, stacked.reshape(-1, m), out=tile)
+        tile = scratch[: o * m].reshape(o, m)
+        if stack:
+            c = weights.shape[2] // len(taps)
+            stacked = scratch[o * m : o * m + weights.shape[2] * m].reshape(len(taps), c, m)
+            for t, (row, off) in enumerate(taps):
+                stacked[t] = planes[row : row + c, off + lo : off + hi]
+            _gemm(weights, stacked.reshape(-1, m), tile, m, [(0, 0, 0, 0, 0.0)])
         else:
-            part = rest[: o * m].reshape(o, m)
-            (p, off), later = taps[0], taps[1:]
-            np.matmul(weights[0], planes[p, :, off + lo : off + hi], out=tile)
-            for t, (p, off) in enumerate(later, 1):
-                np.matmul(weights[t], planes[p, :, off + lo : off + hi], out=part)
-                tile += part
+            # the first tap writes the tile, each later one adds into it
+            calls = [(row, off + lo, 0, 0, 1.0 if t else 0.0) for t, (row, off) in enumerate(taps)]
+            _gemm(weights, planes, tile, m, calls, least=_FOREIGN_MIN_TILE)
         tile += bias
         if relu:
             np.maximum(tile, 0.0, out=out[:, lo:hi])
@@ -276,25 +389,27 @@ def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.nda
             out[:, lo:hi] = tile
 
 
-def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, taps, blocks, out: np.ndarray, relu: bool, take, workers: int):
+def _taps_product(planes: np.ndarray, w: np.ndarray, b: np.ndarray, stack: bool, taps, blocks, out: np.ndarray, relu: bool, take, workers: int):
     """Write the conv into the column blocks ``blocks`` of ``out`` (O, n), one run per worker."""
     o, c, kh, kw = w.shape
     width = max((hi - lo for lo, hi in blocks), default=0)
-    if c < _STACK_BELOW_CHANNELS:
-        weights = w.transpose(0, 2, 3, 1).reshape(o, -1)
+    if stack:
+        weights = w.transpose(0, 2, 3, 1).reshape(1, o, -1)
         size = (o + kh * kw * c) * width
     else:
         weights = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-        size = 2 * o * width
+        size = o * width
+    taps = [(p * c, off) for p, off in taps]
+    planes = planes.reshape(-1, planes.shape[2])
     runs = min(workers, len(blocks))
     bias = b[:, None]
     if runs <= 1:
-        _run_blocks(blocks, take("scratch", (size,), out.dtype), planes, weights, bias, taps, out, relu)
+        _run_blocks(blocks, take("scratch", (size,), out.dtype), planes, weights, stack, bias, taps, out, relu)
         return
     scratch = [take(f"scratch{k}" if k else "scratch", (size,), out.dtype) for k in range(runs)]
     m = len(blocks)
     _split(
-        lambda k: _run_blocks(blocks[k * m // runs : (k + 1) * m // runs], scratch[k], planes, weights, bias, taps, out, relu),
+        lambda k: _run_blocks(blocks[k * m // runs : (k + 1) * m // runs], scratch[k], planes, weights, stack, bias, taps, out, relu),
         range(runs),
     )
 
@@ -340,12 +455,18 @@ def conv2d(
         raise ValueError("conv2d: chained planes need a Workspace and a 3x3 stride-1 conv")
     if framed is not None and framed == slot:
         raise ValueError(f"conv2d: buffer {slot!r} cannot hold both the input plane and the output")
+    # one dtype for every GEMM: the planes are filled in it, the weights cast to it
+    dtype = np.result_type(x, w)
+    if framed is not None and x.dtype != dtype:
+        raise ValueError(f"conv2d: a chained plane holds {x.dtype}, the conv computes in {dtype}")
+    if w.dtype != dtype:
+        w = w.astype(dtype)
     take = _empty if work is None else work.take
     s = stride
     h_out, w_out, hq, wq, taps = _layout(h, wd, kh, kw, s)
     n = h_out * wq
-    dtype = np.result_type(x, w)
-    partition = _blocks(n, c, o, dtype.itemsize)
+    stack = c < _STACK_BELOW_CHANNELS
+    partition = _blocks(n, kh * kw * c if stack else c, o, dtype.itemsize)
     blocks = _touched(partition, rows, wq)
     workers = _workers() if len(partition) > 1 else 1
     # plane rows a banded conv's blocks read: block [lo, hi) reaches up to
@@ -355,7 +476,7 @@ def conv2d(
         (lo // wq, min(hq, (hi - 1 + reach) // wq + 1)) for lo, hi in blocks
     ]
     plane_shape = (s * s, c, hq * wq + (kw - 1) // s)
-    planes = take("planes" if framed is None else framed, plane_shape, x.dtype)
+    planes = take("planes" if framed is None else framed, plane_shape, dtype)
     if framed is None:
         _split_channels(lambda chans: _fill_planes(planes, x, s, hq, wq, kh, kw, plane_rows, chans), c, min(workers, c))
 
@@ -366,7 +487,7 @@ def conv2d(
         out = plane[:, wq + 1 : wq + 1 + n]
     else:
         out = take(slot, (o, n), dtype)
-    _taps_product(planes, w, b, taps, blocks, out, relu, take, workers)
+    _taps_product(planes, w, b, stack, taps, blocks, out, relu, take, workers)
     out = out.reshape(o, h_out, wq)
     if frame:
         # the top frame, then each row's two wrapped columns, which land on
@@ -384,9 +505,11 @@ def conv2d(
 def conv2d_backward(grad_out: np.ndarray, cache, input_grad: bool = True):
     """Gradients of conv2d (and its ReLU, if fused) w.r.t. input, weights, and bias.
 
-    Per tap: ``grad_w[:, :, i, j] = g @ slice.T``, and ``W[:, :, i, j].T @
-    g`` is added into the gradient plane at that slice. ``input_grad=False``
-    skips the input gradient and returns None for it.
+    Per tap: ``grad_w[:, :, i, j] = g @ slice.T``, and the GEMM adds
+    ``W[:, :, i, j].T @ g`` straight into the zeroed gradient planes at that
+    slice (beta = 1, the plane length as C's row stride), with no
+    temporary. ``input_grad=False`` skips the input gradient and returns
+    None for it.
     """
     (c, h, wd), w, planes, s, mask = cache
     if mask is not None:
@@ -408,8 +531,8 @@ def conv2d_backward(grad_out: np.ndarray, cache, input_grad: bool = True):
 
     w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
     grad_planes = np.zeros(planes.shape, dtype=grad_out.dtype)
-    for t, (p, off) in enumerate(taps):
-        grad_planes[p, :, off : off + n] += w_taps[t].T @ g
+    calls = [(0, 0, p * c, off, 1.0) for p, off in taps]
+    _gemm(w_taps, g, grad_planes.reshape(-1, planes.shape[2]), n, calls, trans_a=True)
     grid = _grid(grad_planes, s, hq, wq)
     grad_x = np.empty((c, h, wd), dtype=grad_out.dtype)
     for p, rows, cols, ys, xs in _phase_blocks(h, wd, kh, kw, s):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorkit import layers
+from anchorkit import forkpool, layers
 from anchorkit.gradcheck import check_conv2d, check_fuse, finite_diff, rel_err
 from anchorkit.layers import (
     Workspace,
@@ -21,6 +21,11 @@ from anchorkit.layers import (
 )
 
 from oracles import conv2d_oracle, upsample2
+
+
+def operand_rows(c: int) -> int:
+    """The GEMM operand's rows for a 3x3 conv of ``c`` input channels: stacked taps below 16."""
+    return 9 * c if c < layers._STACK_BELOW_CHANNELS else c
 
 
 class TestConv2d:
@@ -121,7 +126,7 @@ class TestConv2d:
         w = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
         b = rng.normal(size=o).astype(np.float32)
         block = data.draw(st.sampled_from([None, 16, 32, 64]), "block width")
-        size = layers._BLOCK_BYTES if block is None else block * 4 * (c + 2 * o)
+        size = layers._BLOCK_BYTES if block is None else block * 4 * (operand_rows(c) + o)
         with mock.patch.object(layers, "_BLOCK_BYTES", size):
             full, _ = conv2d(x, w, b, stride=stride)
             banded, _ = conv2d(x, w, b, stride=stride, rows=rows)
@@ -138,7 +143,7 @@ class TestConv2d:
             x = rng.normal(size=(64, 20, 20)).astype(np.float32)
             w = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
             b = rng.normal(size=64).astype(np.float32)
-            for size in (layers._BLOCK_BYTES, 336 * 4 * (64 + 2 * 64)):
+            for size in (layers._BLOCK_BYTES, 336 * 4 * (64 + 64)):
                 with mock.patch.object(layers, "_BLOCK_BYTES", size), \
                         mock.patch.object(layers, "_cores", lambda: 2):
                     full, _ = conv2d(x, w, b)
@@ -162,6 +167,36 @@ class TestConv2d:
         out, _ = conv2d(x32, np.zeros((1, 1, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32))
         assert out.dtype == np.float32
 
+    @pytest.mark.parametrize("c", [3, 17])
+    def test_uint8_and_float64_images_through_a_float32_conv(self, c):
+        # Every GEMM takes one dtype: the planes are filled in the result
+        # dtype and the weights cast to it, which gives the bits of the conv
+        # run on inputs cast beforehand. 3 channels stack the taps, 17 do not.
+        rng = np.random.default_rng(c)
+        w = rng.normal(size=(4, c, 3, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        images = [rng.integers(0, 256, size=(c, 7, 6), dtype=np.uint8), rng.normal(size=(c, 7, 6))]
+        for x in images:
+            dtype = np.result_type(x, w)
+            for stride in (1, 2):
+                out, cache = conv2d(x, w, b, stride=stride, relu=True)
+                assert out.dtype == dtype
+                want = np.maximum(conv2d_oracle(x.astype(np.float64), w.astype(np.float64), b.astype(np.float64), stride), 0.0)
+                np.testing.assert_allclose(out, want, rtol=1e-5 if dtype == np.float32 else 1e-12, atol=1e-9)
+                cast, cast_cache = conv2d(x.astype(dtype), w.astype(dtype), b, stride=stride, relu=True)
+                np.testing.assert_array_equal(out, cast)
+                g = rng.normal(size=out.shape).astype(dtype)
+                for got, ref in zip(conv2d_backward(g, cache), conv2d_backward(g, cast_cache)):
+                    np.testing.assert_array_equal(got, ref)
+
+    def test_chained_plane_of_another_dtype_rejected(self):
+        work = Workspace()
+        x = np.ones((2, 5, 5), dtype=np.float32)
+        w = np.ones((2, 2, 3, 3), dtype=np.float32)
+        framed, _ = conv2d(x, w, np.zeros(2, np.float32), work=work, slot="chain0", frame=True)
+        with pytest.raises(ValueError, match="chained plane holds float32"):
+            conv2d(framed, w.astype(np.float64), np.zeros(2), work=work, framed="chain0")
+
 
 # Memory conv2d allocates holds NaN, so a conv that reads a value it did not
 # write shows it in its output or, through 0 * NaN, in its gradients.
@@ -169,11 +204,11 @@ def nan_empty(name, shape, dtype):
     return np.full(shape, np.nan, dtype)
 
 
-def poisoned_workspace(sizes: dict[str, int]) -> Workspace:
-    """A Workspace whose float32 buffers hold ``sizes[name]`` NaNs each."""
+def poisoned_workspace(sizes: dict[str, int], dtype=np.float32) -> Workspace:
+    """A Workspace whose ``dtype`` buffers hold ``sizes[name]`` NaNs each."""
     work = Workspace()
     for name, size in sizes.items():
-        work.take(name, (size,), np.float32)[:] = np.nan
+        work.take(name, (size,), dtype)[:] = np.nan
     return work
 
 
@@ -203,26 +238,28 @@ class TestRelu:
 ULPS = 4
 
 
-class _WidthDependentGemm:
-    """numpy, except that ``matmul`` rounds a float64 product to the output
+def width_dependent_gemm(a, b, c, n, calls, trans_a=False, least=0):
+    """``layers._gemm``, except that each call rounds a float64 product to C's
     dtype and then moves some columns up one ulp, chosen by the call's width
-    and each column's place in the call: a GEMM whose bits change whenever a
-    column is computed in a differently cut call."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def matmul(a, b, out):
-        m = b.shape[-1]
+    and each column's place in the call, before it writes the product into C
+    (beta = 0) or adds it there (beta = 1): a GEMM whose bits change whenever
+    a column is computed in a differently cut call."""
+    rows, cols = a.shape[1:]
+    m, k = (cols, rows) if trans_a else (rows, cols)
+    # quadratic in the column's place, so no cut shifts the pattern onto itself
+    nudged = (np.arange(n) + n) ** 2 % 7 < 3
+    for t, (rb, cb, rc, cc, beta) in enumerate(calls):
+        op_a = a[t].T if trans_a else a[t]
         # a banded chained conv's blocks also read plane columns its
         # producer did not write, which may hold any bits
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(out.dtype)
-        nudged = (np.arange(m) * 7 + m) % 3 == 0
-        prod[:, nudged] = np.nextafter(prod[:, nudged], np.inf)
-        out[...] = prod
-        return out
+            prod = (op_a.astype(np.float64) @ b[rb : rb + k, cb : cb + n].astype(np.float64)).astype(c.dtype)
+            prod[:, nudged] = np.nextafter(prod[:, nudged], np.inf)
+            out = c[rc : rc + m, cc : cc + n]
+            if beta:
+                out += prod
+            else:
+                out[...] = prod
 
 
 class TestFixedCalls:
@@ -258,9 +295,9 @@ class TestFixedCalls:
                 got["chained banded"] = conv2d(framed, w2, b2, rows=rows, work=work, framed="chain1")[0].copy()
             return got
 
-        # 112-column cache blocks for the conv, 96-672 for its successor
-        with mock.patch.object(layers, "np", _WidthDependentGemm()), \
-                mock.patch.object(layers, "_BLOCK_BYTES", 112 * 4 * (c + 2 * o)), \
+        # 112-column cache blocks for the conv, 86-190 for its successor
+        with mock.patch.object(layers, "_gemm", width_dependent_gemm), \
+                mock.patch.object(layers, "_BLOCK_BYTES", 112 * 4 * (operand_rows(c) + o)), \
                 mock.patch.object(layers, "_cores", lambda: 4):
             with mock.patch.object(layers, "_workers", lambda: 1):
                 want = conv2d(x, w, b, stride=stride, relu=True)[0]
@@ -280,6 +317,146 @@ class TestFixedCalls:
                 if not np.array_equal(out, ref):
                     differ.append(f"{name} at {run}")
         assert not differ
+
+
+def counting_blas():
+    """``layers._openblas()`` with each bound GEMM wrapped to log its dtype, and the log."""
+    get, put, gemms = layers._openblas()
+    log = []
+
+    def counted(dtype, gemm):
+        def call(*args):
+            log.append(dtype)
+            gemm(*args)
+
+        return call
+
+    return (get, put, {dtype: counted(dtype, gemm) for dtype, gemm in gemms.items()}), log
+
+
+needs_gemm = pytest.mark.skipif(
+    layers._openblas() is None or not layers._openblas()[2], reason="numpy ships no OpenBLAS GEMM to bind"
+)
+
+
+class TestGemm:
+    """The conv GEMMs run in numpy's bundled OpenBLAS, with beta = 1 summing the taps."""
+
+    def test_bound_where_forkpool_finds_openblas(self):
+        # A conv that silently took the numpy path would lose the speed
+        # with every other test still green.
+        if forkpool.blas_threads() is None:
+            pytest.skip("numpy ships no OpenBLAS whose thread count can be read and set")
+        assert set(layers._openblas()[2]) == {np.dtype(np.float32), np.dtype(np.float64)}
+        blas, log = counting_blas()
+        rng = np.random.default_rng(5)
+        # a head conv's map: tiles of 64 channels by 288 grid columns, enough
+        # for OpenBLAS. The first tap (beta = 0) and 3 input channels' one
+        # stacked GEMM are np.matmul's; each later tap and each tap of the
+        # input gradient adds its product in OpenBLAS.
+        assert 64 * 16 * 18 >= layers._FOREIGN_MIN_TILE
+        with mock.patch.object(layers, "_openblas", lambda: blas):
+            for c, forward, backward in ((3, 0, 9), (64, 8, 9)):
+                x = rng.normal(size=(c, 16, 16)).astype(np.float32)
+                w = rng.normal(size=(64, c, 3, 3)).astype(np.float32)
+                out, cache = conv2d(x, w, np.zeros(64, np.float32), relu=True)
+                assert log == [np.dtype(np.float32)] * forward
+                conv2d_backward(np.ones_like(out), cache)
+                assert len(log) == forward + backward  # each tap's input gradient, straight into its plane
+                log.clear()
+
+    @needs_gemm
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,stride", [(3, 1), (3, 2), (17, 1), (17, 2), (64, 1)])
+    def test_numpy_path_gives_the_same_bits(self, dtype, c, stride):
+        # The numpy path (np.matmul, then an add) and OpenBLAS's beta = 1
+        # give the same bytes: full, banded and framed outputs, a chained
+        # successor and the backward, in blocks of 48 columns over 2 workers,
+        # with every buffer the convs allocate or take poisoned with NaN, so
+        # a first tap that read its tile would show.
+        rng = np.random.default_rng(c * 10 + stride)
+        o, h, wd = 5, 15, 13
+        x = rng.normal(size=(c, h, wd)).astype(dtype)
+        w = rng.normal(size=(o, c, 3, 3)).astype(dtype)
+        b = rng.normal(size=o).astype(dtype)
+        w2 = rng.normal(size=(4, o, 3, 3)).astype(dtype)
+        b2 = rng.normal(size=4).astype(dtype)
+        h_out, _, hq, wq, _ = layers._layout(h, wd, 3, 3, stride)
+        n = h_out * wq
+        rows = [(1, 3), (h_out - 1, h_out)]
+        wide = [(0, 4), (h_out - 2, h_out)]
+        g = rng.normal(size=(o, h_out, -(-wd // stride))).astype(dtype)
+
+        def convs():
+            got = {"full": conv2d(x, w, b, stride=stride, relu=True)[0]}
+            got["banded"] = conv2d(x, w, b, stride=stride, rows=rows)[0]
+            got["grads"] = conv2d_backward(g, conv2d(x, w, b, stride=stride, relu=True)[1])
+            plane = o * (hq * wq + 2)
+            sizes = {"planes": stride**2 * max(c, o) * (hq * wq + 2), "scratch": 9 * (c + o) * n,
+                     "scratch1": 9 * (c + o) * n, "out": o * n, "chain0": plane, "chain1": plane}
+            work = poisoned_workspace(sizes, dtype)
+            got["work"] = conv2d(x, w, b, stride=stride, rows=rows, work=work)[0].copy()
+            if stride == 1:
+                framed = conv2d(x, w, b, relu=True, work=work, slot="chain0", frame=True)[0]
+                got["framed"] = framed.copy()
+                got["chained"] = conv2d(framed, w2, b2, work=work, framed="chain0")[0].copy()
+                framed = conv2d(x, w, b, rows=wide, relu=True, work=work, slot="chain1", frame=True)[0]
+                got["chained banded"] = conv2d(framed, w2, b2, rows=rows, work=work, framed="chain1")[0].copy()
+            assert {k: v.size for k, v in work._buffers.items()} == sizes
+            return got
+
+        blas, log = counting_blas()
+        with mock.patch.object(layers, "_BLOCK_BYTES", 48 * np.dtype(dtype).itemsize * (operand_rows(c) + o)), \
+                mock.patch.object(layers, "_FOREIGN_MIN_TILE", 0), \
+                mock.patch.object(layers, "_cores", lambda: 2), \
+                mock.patch.object(layers, "_workers", lambda: 2), \
+                mock.patch.object(layers, "_empty", nan_empty):
+            with mock.patch.object(layers, "_openblas", lambda: blas):
+                direct = convs()
+            with mock.patch.object(layers, "_openblas", lambda: None):
+                fallback = convs()
+        assert set(log) == {np.dtype(dtype)}
+        for name, got in direct.items():
+            want = fallback[name]
+            for got_part, want_part in zip(got, want) if name == "grads" else [(got, want)]:
+                assert got_part.dtype == want_part.dtype
+                if "banded" in name or name == "work":
+                    got_part, want_part = (np.concatenate([m[:, lo:hi] for lo, hi in rows], axis=1) for m in (got_part, want_part))
+                assert np.isfinite(want_part).all() and got_part.tobytes() == want_part.tobytes(), name
+
+    @needs_gemm
+    def test_unfit_operands_take_the_numpy_path(self):
+        # What the seam would hand to OpenBLAS is checked first: mixed
+        # dtypes, a non-contiguous array, a dimension of 1 (where numpy's
+        # matmul calls no GEMM) or a C under ``least`` elements run in numpy
+        # instead, with the same result.
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(1, 2, 3)).astype(np.float32)
+        b = rng.normal(size=(5, 8)).astype(np.float32)
+        calls = [(1, 2, 0, 1, 1.0)]
+        blas, log = counting_blas()
+        cases = [  # a, n, the least C OpenBLAS takes, whether it runs the call
+            (a, 3, 0, True),
+            (a, 3, 7, False),
+            (a.astype(np.float64), 3, 0, False),
+            (np.repeat(a, 2, axis=2)[:, :, ::2], 3, 0, False),
+            (a, 1, 0, False),
+            (a[:, :1], 3, 0, False),
+        ]
+        for a_, n, least, direct in cases:
+            m = a_.shape[1]
+            c = np.full((2, 4), 7.0, np.float32)
+            with mock.patch.object(layers, "_openblas", lambda: blas):
+                layers._gemm(a_, b, c, n, calls, least=least)
+            assert len(log) == direct
+            log.clear()
+            np.testing.assert_allclose(c[:m, 1 : 1 + n], 7.0 + a_[0] @ b[1:4, 2 : 2 + n], rtol=1e-6)
+            c[:m, 1 : 1 + n] = 7.0
+            assert (c == 7.0).all()
+        # a window past its array is never handed over: numpy refuses the shapes
+        with mock.patch.object(layers, "_openblas", lambda: blas), pytest.raises(ValueError):
+            layers._gemm(a, b, np.zeros((2, 3), np.float32), 3, [(0, 6, 0, 0, 1.0)])
+        assert not log
 
 
 class TestColumnBlocks:
@@ -326,10 +503,11 @@ class TestColumnBlocks:
 
         unblocked = run(x32, w32, b32)
         g = rng.normal(size=unblocked.shape).astype(np.float32)
-        with mock.patch.object(layers, "_BLOCK_BYTES", width * 4 * (c + 2 * o)), \
+        k = operand_rows(c)
+        with mock.patch.object(layers, "_BLOCK_BYTES", width * 4 * (k + o)), \
                 mock.patch.object(layers, "_empty", nan_empty):
-            assert layers._block_width(c, o, 4) == width
-            with mock.patch.object(layers, "_BLOCK_BYTES", width * 8 * (c + 2 * o)):
+            assert layers._block_width(k, o, 4) == width
+            with mock.patch.object(layers, "_BLOCK_BYTES", width * 8 * (k + o)):
                 # the loop oracle is slow: check one output channel of the float64 conv
                 oc = data.draw(st.integers(0, o - 1), "checked channel")
                 want = conv2d_oracle(x, w[oc : oc + 1], b[oc : oc + 1], stride)
@@ -341,7 +519,7 @@ class TestColumnBlocks:
                 want_grads = conv2d_backward(g, conv2d(x32, w32, b32, stride=stride, relu=True)[1])
             np.testing.assert_allclose(blocked, unblocked, rtol=0, atol=ULPS * np.spacing(np.abs(unblocked).max()))
             # a block edge inside the grid, and the output rows around it
-            blocks = layers._blocks(n, c, o, 4)
+            blocks = layers._blocks(n, k, o, 4)
             edge = data.draw(st.sampled_from([lo for lo, _ in blocks[1:]]), "block edge")
             rows = [((edge - 1) // wq, edge // wq + 1)]
             for workers in (1, 2, 3):
@@ -387,7 +565,7 @@ class TestColumnBlocks:
                         np.testing.assert_array_equal(chained_band[:, lo:hi], successor[:, lo:hi])
 
     def test_blocks(self):
-        # float32 64 -> 64 convs: 1,365-column cache blocks become equal
+        # float32 64 -> 64 convs: 2,048-column cache blocks become equal
         # widths in a multiple of the usable cores; the last block is short
         def widths(n: int, cores: int) -> list[int]:
             with mock.patch.object(layers, "_cores", lambda: cores):
@@ -396,14 +574,13 @@ class TestColumnBlocks:
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
             return [hi - lo for lo, hi in blocks]
 
-        assert widths(160 * 162, 2) == [1296] * 20
-        assert widths(80 * 82, 2) == [1094] * 5 + [1090]  # 6 blocks, not 5
-        assert widths(40 * 42, 2) == [840, 840]  # not 1,365 + 315
-        assert widths(41 * 40, 2) == [820, 820]
-        assert widths(1365, 2) == [1365]  # one cache block
-        assert widths(1366, 2) == [683, 683]
+        assert widths(160 * 162, 2) == [1852] * 13 + [1844]  # 14 blocks, not 13
+        assert widths(80 * 82, 2) == [1640] * 4
+        assert widths(56 * 58, 2) == [1624, 1624]  # not 2,048 + 1,200
+        assert widths(2048, 2) == [2048]  # one cache block
+        assert widths(2049, 2) == [1025, 1024]
         assert widths(20 * 22, 2) == [440]
-        assert widths(80 * 82, 1) == [1312] * 5
+        assert widths(80 * 82, 1) == [1640] * 4
         assert widths(80 * 82, 3) == [1094] * 5 + [1090]
         # the partition follows the cores, not the workers or the processes sharing them
         with mock.patch.object(layers, "_cores", lambda: 2):
@@ -498,10 +675,10 @@ class TestColumnBlocks:
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_block_width(self):
-        # 1 MiB of float32 over C + 2 O rows, at least one column
-        assert layers._block_width(64, 64, 4) == (1 << 20) // (4 * 192) == 1365
-        assert layers._block_width(1, 8, 4) == 15420
-        assert layers._block_width(4096, 4096, 8) == 10
+        # 1 MiB over the operand's K rows and the tile's O rows, at least one column
+        assert layers._block_width(64, 64, 4) == (1 << 20) // (4 * 128) == 2048
+        assert layers._block_width(9, 8, 4) == 15420  # the stem: 1 channel, 9 stacked taps
+        assert layers._block_width(4096, 4096, 8) == 16
         assert layers._block_width(1 << 16, 1 << 16, 8) == 1
 
     def test_input_gradient_skipped(self):
