@@ -44,10 +44,11 @@ The GEMM. :func:`_gemm` calls numpy's bundled OpenBLAS through ctypes
 for the beta = 1 that numpy's matmul lacks; a beta = 0 product is
 np.matmul's, the same GEMM call. OpenBLAS sums a product over K and then
 adds it to C, so with alpha = 1 a call has the bits of np.matmul into a
-buffer and an add, as long as K fits OpenBLAS's K block (a few hundred;
-every conv of the stock nets has K < 9 * 16). That numpy path runs where
-numpy ships no OpenBLAS, for tiles too small to repay a foreign call
-(``_FOREIGN_MIN_TILE``), and in the tests as the reference.
+buffer and an add, as long as K fits in one of OpenBLAS's K blocks; past
+that it adds each block's product into C in turn. Products with K over
+``_FOREIGN_MAX_K`` (under a third of SkylakeX's blocks; every conv of the
+stock nets has K <= 64) therefore take that numpy path. It also runs
+where numpy ships no OpenBLAS, and in the tests as the reference.
 
 Thread share. A grid of several blocks runs on this process's share of
 the usable cores (``os.sched_getaffinity``), the cores divided by
@@ -106,8 +107,11 @@ _BLOCK_BYTES = 1 << 20
 def _openblas():
     """numpy's bundled OpenBLAS as ``(get_threads, set_threads, gemms)``, or None if there is none.
 
-    ``gemms`` maps float32 and float64 to the library's CBLAS GEMM. A
-    ``64_`` symbol suffix marks the 64-bit integer interface.
+    ``gemms`` maps float32 and float64 to ``(gemm, real, index)``: the
+    library's CBLAS GEMM and the ctypes types of its scalars and its
+    integers (64-bit where the symbols end in ``64_``). The GEMM declares
+    no argument types, which saves converting every argument on every
+    call; it is called with ctypes values of those types only.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
@@ -124,26 +128,28 @@ def _openblas():
             for dtype, real, name in ((np.float32, ctypes.c_float, "s"), (np.float64, ctypes.c_double, "d")):
                 gemm = getattr(lib, f"{prefix}cblas_{name}gemm{suffix}", None)
                 if gemm is not None:
-                    # order, transA, transB, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc
                     gemm.restype = None
-                    gemm.argtypes = [ctypes.c_int] * 3 + [index] * 3 + [real] \
-                        + [ctypes.c_void_p, index] * 2 + [real, ctypes.c_void_p, index]
-                    gemms[np.dtype(dtype)] = gemm
+                    gemms[np.dtype(dtype)] = gemm, real, index
             return get, put, gemms
     return None
 
 
-_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112  # CBLAS enum values
+_ROW_MAJOR, _NO_TRANS, _TRANS = (ctypes.c_int(v) for v in (101, 111, 112))  # CBLAS enum values
 
 
-# A ctypes GEMM call costs more than an np.matmul call. For a tile of
-# fewer elements than this, the add into it that beta = 1 saves costs less
-# than that difference, so its products run in numpy, with the same bits.
-# (The input gradient adds into strided planes, which pays at any size.)
-_FOREIGN_MIN_TILE = 1 << 14
+# OpenBLAS sums K in blocks of a few hundred (448 in float32 and 384 in
+# float64 on SkylakeX) and adds each block into C; a product of longer K
+# than this runs in numpy, whose single add after the GEMM has other bits.
+_FOREIGN_MAX_K = 128
 
 
-def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, calls, trans_a: bool = False, least: int = 0) -> None:
+def _address(x: np.ndarray) -> int:
+    """The address of a C-contiguous array's first element."""
+    # ctypes reads a writable buffer's address in a third of the time ``x.ctypes`` takes
+    return ctypes.addressof(ctypes.c_char.from_buffer(x)) if x.flags.writeable else x.ctypes.data
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, calls, trans_a: bool = False) -> None:
     """``C := op(A[t]) @ B + beta * C`` for the t-th ``(B row, B column, C row, C column, beta)`` of ``calls``.
 
     The calls run in order. ``a`` stacks one matrix per call, op(A[t])
@@ -154,8 +160,8 @@ def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, calls, trans_a: b
 
     A beta = 0 call is np.matmul into C, which calls the same GEMM at a
     lower cost per call. A beta = 1 call is one GEMM in numpy's bundled
-    OpenBLAS when C has at least ``least`` elements, m, n, k > 1 (numpy's
-    matmul calls GEMM only then), and the three arrays share a float32 or
+    OpenBLAS when m, n, k > 1 (numpy's matmul calls GEMM only then),
+    k <= ``_FOREIGN_MAX_K``, and the three arrays share a float32 or
     float64 dtype, are C-contiguous and hold the call's operands.
     Otherwise np.matmul computes the product into a buffer that is then
     added to C. Each way gives the same bits (see the module docstring).
@@ -163,7 +169,7 @@ def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, calls, trans_a: b
     rows, cols = a.shape[1:]
     m, k = (cols, rows) if trans_a else (rows, cols)
     gemm = None
-    if m * n >= least and min(m, n, k) > 1 and any(call[4] for call in calls):
+    if min(m, n, k) > 1 and k <= _FOREIGN_MAX_K and any(call[4] for call in calls):
         blas = _openblas()
         if (
             blas is not None
@@ -173,18 +179,22 @@ def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int, calls, trans_a: b
         ):
             gemm = blas[2].get(c.dtype)
     if gemm is not None:
+        gemm, real, index = gemm
         (lda, ldb, ldc), item = (a.shape[2], b.shape[1], c.shape[1]), c.itemsize
-        pa, pb, pc = a.ctypes.data, b.ctypes.data, c.ctypes.data
-        op = _TRANS if trans_a else _NO_TRANS
+        pa, pb, pc, step = _address(a), _address(b), _address(c), m * k * item
+        # CBLAS order, transA, transB, M, N, K and alpha; then A, lda, B, ldb, beta, C, ldc
+        head = (_ROW_MAJOR, _TRANS if trans_a else _NO_TRANS, _NO_TRANS, index(m), index(n), index(k), real(1.0))
+        c_lda, c_ldb, c_ldc, c_beta = index(lda), index(ldb), index(ldc), real(1.0)
+        # the last row and column where each call's B and C windows may start
+        rb_end, cb_end, rc_end, cc_end = b.shape[0] - k, ldb - n, c.shape[0] - m, ldc - n
     part = None  # the products added to C on the numpy path
     for t, (rb, cb, rc, cc, beta) in enumerate(calls):
         if (
             beta and gemm is not None
-            and 0 <= rb <= b.shape[0] - k and 0 <= cb <= ldb - n
-            and 0 <= rc <= c.shape[0] - m and 0 <= cc <= ldc - n
+            and 0 <= rb <= rb_end and 0 <= cb <= cb_end and 0 <= rc <= rc_end and 0 <= cc <= cc_end
         ):
-            gemm(_ROW_MAJOR, op, _NO_TRANS, m, n, k, 1.0, pa + t * m * k * item, lda,
-                 pb + (rb * ldb + cb) * item, ldb, 1.0, pc + (rc * ldc + cc) * item, ldc)
+            gemm(*head, ctypes.c_void_p(pa + t * step), c_lda, ctypes.c_void_p(pb + (rb * ldb + cb) * item), c_ldb,
+                 c_beta, ctypes.c_void_p(pc + (rc * ldc + cc) * item), c_ldc)
             continue
         op_a = a[t].T if trans_a else a[t]
         out = c[rc : rc + m, cc : cc + n]
@@ -381,7 +391,7 @@ def _run_blocks(blocks, scratch: np.ndarray, planes: np.ndarray, weights: np.nda
         else:
             # the first tap writes the tile, each later one adds into it
             calls = [(row, off + lo, 0, 0, 1.0 if t else 0.0) for t, (row, off) in enumerate(taps)]
-            _gemm(weights, planes, tile, m, calls, least=_FOREIGN_MIN_TILE)
+            _gemm(weights, planes, tile, m, calls)
         tile += bias
         if relu:
             np.maximum(tile, 0.0, out=out[:, lo:hi])

@@ -3,6 +3,7 @@ import signal
 import sys
 import threading
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestRelu:
 ULPS = 4
 
 
-def width_dependent_gemm(a, b, c, n, calls, trans_a=False, least=0):
+def width_dependent_gemm(a, b, c, n, calls, trans_a=False):
     """``layers._gemm``, except that each call rounds a float64 product to C's
     dtype and then moves some columns up one ulp, chosen by the call's width
     and each column's place in the call, before it writes the product into C
@@ -331,7 +332,7 @@ def counting_blas():
 
         return call
 
-    return (get, put, {dtype: counted(dtype, gemm) for dtype, gemm in gemms.items()}), log
+    return (get, put, {dtype: (counted(dtype, gemm), *types) for dtype, (gemm, *types) in gemms.items()}), log
 
 
 needs_gemm = pytest.mark.skipif(
@@ -342,19 +343,20 @@ needs_gemm = pytest.mark.skipif(
 class TestGemm:
     """The conv GEMMs run in numpy's bundled OpenBLAS, with beta = 1 summing the taps."""
 
-    def test_bound_where_forkpool_finds_openblas(self):
+    def test_bound_where_numpy_ships_openblas(self):
         # A conv that silently took the numpy path would lose the speed
-        # with every other test still green.
-        if forkpool.blas_threads() is None:
-            pytest.skip("numpy ships no OpenBLAS whose thread count can be read and set")
+        # with every other test still green. Whether numpy ships OpenBLAS is
+        # read off its wheel's library folder, not through the loader.
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        if not any(libs.glob("*openblas*")):
+            pytest.skip("numpy ships no OpenBLAS")
+        assert layers._openblas() is not None and forkpool.blas_threads() is not None
         assert set(layers._openblas()[2]) == {np.dtype(np.float32), np.dtype(np.float64)}
         blas, log = counting_blas()
         rng = np.random.default_rng(5)
-        # a head conv's map: tiles of 64 channels by 288 grid columns, enough
-        # for OpenBLAS. The first tap (beta = 0) and 3 input channels' one
-        # stacked GEMM are np.matmul's; each later tap and each tap of the
-        # input gradient adds its product in OpenBLAS.
-        assert 64 * 16 * 18 >= layers._FOREIGN_MIN_TILE
+        # The first tap (beta = 0) and 3 input channels' one stacked GEMM
+        # are np.matmul's; each later tap and each tap of the input gradient
+        # adds its product in OpenBLAS.
         with mock.patch.object(layers, "_openblas", lambda: blas):
             for c, forward, backward in ((3, 0, 9), (64, 8, 9)):
                 x = rng.normal(size=(c, 16, 16)).astype(np.float32)
@@ -407,7 +409,6 @@ class TestGemm:
 
         blas, log = counting_blas()
         with mock.patch.object(layers, "_BLOCK_BYTES", 48 * np.dtype(dtype).itemsize * (operand_rows(c) + o)), \
-                mock.patch.object(layers, "_FOREIGN_MIN_TILE", 0), \
                 mock.patch.object(layers, "_cores", lambda: 2), \
                 mock.patch.object(layers, "_workers", lambda: 2), \
                 mock.patch.object(layers, "_empty", nan_empty):
@@ -427,27 +428,25 @@ class TestGemm:
     @needs_gemm
     def test_unfit_operands_take_the_numpy_path(self):
         # What the seam would hand to OpenBLAS is checked first: mixed
-        # dtypes, a non-contiguous array, a dimension of 1 (where numpy's
-        # matmul calls no GEMM) or a C under ``least`` elements run in numpy
-        # instead, with the same result.
+        # dtypes, a non-contiguous array or a dimension of 1 (where numpy's
+        # matmul calls no GEMM) run in numpy instead, with the same result.
         rng = np.random.default_rng(9)
         a = rng.normal(size=(1, 2, 3)).astype(np.float32)
         b = rng.normal(size=(5, 8)).astype(np.float32)
         calls = [(1, 2, 0, 1, 1.0)]
         blas, log = counting_blas()
-        cases = [  # a, n, the least C OpenBLAS takes, whether it runs the call
-            (a, 3, 0, True),
-            (a, 3, 7, False),
-            (a.astype(np.float64), 3, 0, False),
-            (np.repeat(a, 2, axis=2)[:, :, ::2], 3, 0, False),
-            (a, 1, 0, False),
-            (a[:, :1], 3, 0, False),
+        cases = [  # a, n, whether OpenBLAS runs the call
+            (a, 3, True),
+            (a.astype(np.float64), 3, False),
+            (np.repeat(a, 2, axis=2)[:, :, ::2], 3, False),
+            (a, 1, False),
+            (a[:, :1], 3, False),
         ]
-        for a_, n, least, direct in cases:
+        for a_, n, direct in cases:
             m = a_.shape[1]
             c = np.full((2, 4), 7.0, np.float32)
             with mock.patch.object(layers, "_openblas", lambda: blas):
-                layers._gemm(a_, b, c, n, calls, least=least)
+                layers._gemm(a_, b, c, n, calls)
             assert len(log) == direct
             log.clear()
             np.testing.assert_allclose(c[:m, 1 : 1 + n], 7.0 + a_[0] @ b[1:4, 2 : 2 + n], rtol=1e-6)
@@ -457,6 +456,29 @@ class TestGemm:
         with mock.patch.object(layers, "_openblas", lambda: blas), pytest.raises(ValueError):
             layers._gemm(a, b, np.zeros((2, 3), np.float32), 3, [(0, 6, 0, 0, 1.0)])
         assert not log
+
+    @needs_gemm
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trans_a", [False, True])
+    def test_k_bound(self, dtype, trans_a):
+        # Up to _FOREIGN_MAX_K, OpenBLAS's beta = 1 has the numpy path's
+        # bytes; past it, where OpenBLAS may add C a K block at a time, the
+        # product is not handed over and keeps numpy's bytes.
+        rng = np.random.default_rng(11)
+        blas, log = counting_blas()
+        for k, direct in ((layers._FOREIGN_MAX_K, True), (layers._FOREIGN_MAX_K + 1, False), (1024, False)):
+            a = rng.normal(size=(2, k, 48) if trans_a else (2, 48, k)).astype(dtype)
+            b = rng.normal(size=(k, 300)).astype(dtype)
+            c = rng.normal(size=(48, 300)).astype(dtype)
+            calls = [(0, 0, 0, 0, 1.0), (0, 0, 0, 0, 1.0)]
+            want = c.copy()
+            with mock.patch.object(layers, "_openblas", lambda: None):
+                layers._gemm(a, b, want, 300, calls, trans_a=trans_a)
+            with mock.patch.object(layers, "_openblas", lambda: blas):
+                layers._gemm(a, b, c, 300, calls, trans_a=trans_a)
+            assert len(log) == 2 * direct
+            log.clear()
+            assert c.tobytes() == want.tobytes(), k
 
 
 class TestColumnBlocks:
