@@ -46,7 +46,7 @@ np.matmul's, the same GEMM call. OpenBLAS sums a product over K and then
 adds it to C, so with alpha = 1 a call has the bits of np.matmul into a
 buffer and an add, as long as K fits in one of OpenBLAS's K blocks; past
 that it adds each block's product into C in turn. Products with K over
-``_FOREIGN_MAX_K`` (under a third of SkylakeX's blocks; every conv of the
+``_FOREIGN_MAX_K`` (a third of SkylakeX's smaller block; every conv of the
 stock nets has K <= 64) therefore take that numpy path. It also runs
 where numpy ships no OpenBLAS, and in the tests as the reference.
 
